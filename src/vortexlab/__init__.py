@@ -56,10 +56,8 @@ from .verify import (
 from .wave_dynamics import (
     AlphaState,
     AxisField,
-    InfeasibleAlignment,
     aligned_initial_state,
     axis_field,
-    initial_alpha_rates,
     initial_corr_rate,
     integrate_alpha,
     integrate_wave_system,
@@ -109,11 +107,9 @@ __all__ = [
     "run_all_checks",
     "AlphaState",
     "AxisField",
-    "InfeasibleAlignment",
     "aligned_initial_state",
     "axis_field",
     "initial_corr_rate",
-    "initial_alpha_rates",
     "integrate_alpha",
     "integrate_wave_system",
     "solve_initial_alignment",

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .madc import madc
-from .optimizer import CorruptTrialLog, StudyConfig, run_study
+from .optimizer import CorruptTrialLog, NoFeasibleHistory, StudyConfig, run_study
 from .plots import render_ring_svg
 from .ring_model import CoefficientTensor, RingConfig, phi_eval
 from .spectral import dominant_mode_count, mode_energies, write_spectrum_csv
@@ -228,6 +228,9 @@ def cmd_optimize(args) -> int:
     except CorruptTrialLog as exc:
         print(f"error: cannot resume: {exc}", file=sys.stderr)
         return 4
+    except NoFeasibleHistory as exc:
+        print(f"error: infeasible everywhere: {exc}", file=sys.stderr)
+        return 3
     except OSError as exc:
         print(f"error: study log {log_path}: {exc}", file=sys.stderr)
         return 2

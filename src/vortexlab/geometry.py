@@ -12,7 +12,7 @@ Scalar outputs follow the leading shape of the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,11 +57,9 @@ class TrajectoryKinematics:
     """Speed, curvature, torsion and moving frame at one trajectory point.
 
     ``v``, ``v_t``, ``v_tt`` are the speed and its first two time
-    derivatives.  ``kappa_t`` is the time derivative of curvature; it is not
-    computable from (d1, d2, d3) alone, so construction leaves it at 0 and
-    the caller fills it in (``ring_model.kinematics_at`` does, by finite
-    difference).  ``degenerate`` flags points where curvature fell below the
-    frame threshold; there the normal comes from the fallback convention and
+    derivatives, ``kappa_t`` the time derivative of curvature.
+    ``degenerate`` flags points where curvature fell below the frame
+    threshold; there the normal comes from the fallback convention and
     torsion is 0.
     """
 
@@ -73,9 +71,6 @@ class TrajectoryKinematics:
     torsion: float | np.ndarray
     frame: FrenetFrame
     degenerate: bool | np.ndarray
-
-    def with_kappa_t(self, kappa_t) -> "TrajectoryKinematics":
-        return replace(self, kappa_t=kappa_t)
 
 
 def _dot(a: np.ndarray, b: np.ndarray):
@@ -101,12 +96,14 @@ def frame_from_derivatives(
         v'   = (d1 . d2) / v
         v''  = (|d2|^2 + d1 . d3 - v'^2) / v
         kappa   = |d1 x d2| / v^3
+        kappa'  = (d1 x d2) . (d1 x d3) / (|d1 x d2| v^3) - 3 kappa v' / v
         torsion = (d1 x d2) . d3 / |d1 x d2|^2
 
     with ``tau = d1/v``, ``b = unit(d1 x d2)``, ``n = b x tau``.  Where
     kappa < eps_kappa the frame is completed by the fallback convention
     ``n = unit(z_hat x tau)`` (or ``unit(x_hat x tau)`` when tau is nearly
-    vertical), ``b = tau x n``, and torsion is set to 0.
+    vertical), ``b = tau x n``, and torsion is set to 0.  ``kappa'`` is 0
+    where d1 x d2 vanishes exactly.
 
     Raises
     ------
@@ -150,10 +147,13 @@ def frame_from_derivatives(
 
     crn2_safe = np.where(crn > 0.0, crn**2, 1.0)
     torsion = np.where(degenerate, 0.0, _dot(cr, d3) / crn2_safe)
+    # d(d1 x d2)/dt = d1 x d3, so d|d1 x d2|/dt = (d1 x d2) . (d1 x d3) / |d1 x d2|
+    crn_rate = np.where(crn > 0.0, _dot(cr, np.cross(d1, d3)) / crn_safe, 0.0)
+    kappa_t = crn_rate / v**3 - 3.0 * kappa * v_t / v
 
     if d1.ndim == 1:
         v, v_t, v_tt = float(v), float(v_t), float(v_tt)
-        kappa, torsion = float(kappa), float(torsion)
+        kappa, kappa_t, torsion = float(kappa), float(kappa_t), float(torsion)
         degenerate = bool(degenerate)
 
     return TrajectoryKinematics(
@@ -161,7 +161,7 @@ def frame_from_derivatives(
         v_t=v_t,
         v_tt=v_tt,
         kappa=kappa,
-        kappa_t=np.zeros_like(v) if isinstance(v, np.ndarray) else 0.0,
+        kappa_t=kappa_t,
         torsion=torsion,
         frame=FrenetFrame(tau=tau, n=n, b=b),
         degenerate=degenerate,

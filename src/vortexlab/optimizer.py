@@ -1,17 +1,16 @@
 """Two-phase coefficient search maximizing the alignment score.
 
 Phase one explores the coefficient box with a scrambled Sobol sequence;
-phase two refines around the incumbent with one of three strategies:
+phase two refines with one of two strategies:
 
-* ``perturb_best`` (default): Gaussian perturbations of the best trial,
-  step size adapted by a 1/5-success rule, proposals clipped to bounds.
-* ``density_ratio``: per-coordinate kernel density of the top-quantile
-  trials reweighted against the rest; candidates are drawn from the good
-  model and ranked by the density ratio.
+* ``perturb_best`` (default): Gaussian perturbations of the best feasible
+  trial, step size adapted by a 1/5-success rule, proposals clipped to
+  bounds.  It needs a feasible trial to start from, so it needs a QMC phase.
 * ``structured``: the j=0 gamma1 row is pinned to the
   :func:`feasibility_ceiling` row, which opens angular columns no random
   draw reaches; every other coefficient starts at zero and takes the same
-  1/5-rule Gaussian steps around the best refine trial.
+  1/5-rule Gaussian steps around the best refine trial.  It needs no
+  history, so it also runs with ``n_qmc = 0``.
 
 Every evaluation is appended to a JSON-lines log as it completes, so a
 killed study resumes from the log and (in deterministic mode,
@@ -69,9 +68,6 @@ REFINE_SIGMA_INIT_FACTOR = 0.1
 # One success per five trials keeps sigma constant: 2**0.5 * (2**-0.125)**4 = 1
 _SIGMA_GROW = 2.0**0.5
 _SIGMA_SHRINK = 2.0**-0.125
-
-_DENSITY_TOP_FRACTION = 0.25
-_DENSITY_CANDIDATES = 24
 
 
 class DimensionTooLarge(ValueError):
@@ -131,8 +127,10 @@ class StudyConfig:
     def __post_init__(self):
         if self.n_qmc < 0 or self.n_refine < 0 or self.n_qmc + self.n_refine < 1:
             raise ValueError("need n_qmc >= 0, n_refine >= 0 and at least one trial")
-        if self.strategy not in ("perturb_best", "density_ratio", "structured"):
+        if self.strategy not in ("perturb_best", "structured"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.strategy == "perturb_best" and self.n_qmc == 0 and self.n_refine > 0:
+            raise ValueError("the perturb_best strategy refines QMC trials; it needs n_qmc >= 1")
         if self.parallel_width < 1:
             raise ValueError("parallel_width must be >= 1")
 
@@ -208,10 +206,6 @@ def _best_record(history: list) -> TrialRecord:
     return best
 
 
-def _feasible(history: list) -> list:
-    return [rec for rec in history if rec.feasible_fraction > 0.0]
-
-
 def _adapted_sigma(history: list, c_max: float) -> float:
     """1/5-success step size from the refine trials committed so far."""
     sigma = REFINE_SIGMA_INIT_FACTOR * c_max
@@ -224,52 +218,16 @@ def _adapted_sigma(history: list, c_max: float) -> float:
 
 
 def _propose_perturb_best(history, n, rng, space):
-    best = _best_record(_feasible(history))
+    feasible = [rec for rec in history if rec.feasible_fraction > 0.0]
+    if not feasible:
+        raise NoFeasibleHistory("perturb_best needs at least one feasible trial")
+    best = _best_record(feasible)
     center = np.asarray(best.coeffs, dtype=float)
     sigma = _adapted_sigma(history, space.c_max)
     proposals = []
     for _ in range(n):
         step = rng.standard_normal(space.dim)
         proposals.append(space.clip(center + sigma * step))
-    return proposals
-
-
-def _log_kde(x: np.ndarray, points: np.ndarray, bandwidth: np.ndarray) -> float:
-    # product of per-coordinate Gaussian mixtures, evaluated in log space
-    z = (x[None, :] - points) / bandwidth[None, :]
-    per_point = -0.5 * np.sum(z * z, axis=1) - np.sum(np.log(bandwidth))
-    peak = per_point.max()
-    return float(peak + np.log(np.mean(np.exp(per_point - peak))))
-
-
-def _propose_density_ratio(history, n, rng, space):
-    feasible = _feasible(history)
-    ranked = sorted(feasible, key=lambda rec: (-rec.score, rec.trial_id))
-    n_good = max(2, int(np.ceil(_DENSITY_TOP_FRACTION * len(ranked))))
-    good = np.array([rec.coeffs for rec in ranked[:n_good]], dtype=float)
-    rest = np.array([rec.coeffs for rec in ranked[n_good:]], dtype=float)
-
-    def bandwidth(points: np.ndarray) -> np.ndarray:
-        scale = np.std(points, axis=0)
-        scale = np.where(scale > 1e-12, scale, 0.1 * space.c_max)
-        return scale * max(len(points), 2) ** -0.2
-
-    bw_good = bandwidth(good)
-    bw_rest = bandwidth(rest) if len(rest) else None
-
-    proposals = []
-    for _ in range(n):
-        candidates = []
-        for _ in range(_DENSITY_CANDIDATES):
-            center = good[rng.integers(len(good))]
-            cand = space.clip(center + bw_good * rng.standard_normal(space.dim))
-            log_l = _log_kde(cand, good, bw_good)
-            if bw_rest is None:
-                log_g = -space.dim * np.log(2.0 * space.c_max)
-            else:
-                log_g = _log_kde(cand, rest, bw_rest)
-            candidates.append((log_l - log_g, cand))
-        proposals.append(max(candidates, key=lambda pair: pair[0])[1])
     return proposals
 
 
@@ -447,18 +405,16 @@ def propose_refinements(
 
     The ``structured`` strategy needs the study's :func:`feasibility_ceiling`;
     it is a pure function of the ring config, so callers solve it once.
+    ``perturb_best`` raises NoFeasibleHistory when no committed trial is
+    feasible.
     """
     if n == 0:
         return []
-    if not _feasible(history):
-        raise NoFeasibleHistory("refinement needs at least one feasible trial")
     if space is None:
         raise ValueError("propose_refinements requires the search space")
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     if strategy == "perturb_best":
         flats = _propose_perturb_best(history, n, rng, space)
-    elif strategy == "density_ratio":
-        flats = _propose_density_ratio(history, n, rng, space)
     elif strategy == "structured":
         if ceiling is None:
             raise ValueError("the structured strategy requires the feasibility ceiling")

@@ -9,8 +9,8 @@ with an elliptic initial radius R, a radial transport profile
 Gamma(t) = 1 - cos(12*pi*t), and a Fourier-polynomial deformation pair
 (gamma1, gamma2) controlled by a learnable coefficient tensor.  All time
 derivatives up to third order, plus the angular derivative, are evaluated in
-closed form; the only finite difference in the module is the curvature rate
-``kappa_t`` (see :func:`kinematics_at`).
+closed form, and so is every trajectory quantity built from them (see
+:func:`kinematics_at`).
 
 ``s`` arguments may be scalars or 1-d arrays; vector outputs carry a trailing
 axis of length 3.
@@ -82,7 +82,7 @@ class RingConfig:
 
     @property
     def fd_step(self) -> float:
-        """Finite-difference step for time stencils (kappa_t, alignment rates)."""
+        """Finite-difference step of the time stencils (alignment rates, verify checks)."""
         return self.fd_step_factor * (self.t1 - self.t0)
 
     @property
@@ -315,29 +315,11 @@ def phi_eval(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
     return RingPoint(position=position, d1=d1, d2=d2, d3=d3, ds=ds)
 
 
-def _curvature_only(t: float, s, c: CoefficientTensor, cfg: RingConfig):
-    """kappa from the closed-form d1, d2 (no frame assembly; stencil helper)."""
-    p = phi_eval(t, s, c, cfg)
-    v = np.sqrt(np.sum(p.d1 * p.d1, axis=-1))
-    cr = np.cross(p.d1, p.d2)
-    return np.sqrt(np.sum(cr * cr, axis=-1)) / v**3
-
-
 def kinematics_at(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKinematics:
-    """Full kinematics of the transport trajectory through (t, s).
-
-    kappa_t comes from a central finite difference of the closed-form
-    curvature over ``cfg.fd_step``; everything else is exact.  Evaluation
-    outside [t0, t1] is fine (Phi is analytic), so the stencil is never
-    clamped.
+    """Full kinematics of the transport trajectory through (t, s), all closed form.
 
     Raises ZeroSpeed (from :func:`frame_from_derivatives`) when the
     trajectory speed vanishes; callers treat that as an infeasible trial.
     """
     p = phi_eval(t, s, c, cfg)
-    kin = frame_from_derivatives(p.d1, p.d2, p.d3, eps_kappa=cfg.eps_kappa, eps_v=cfg.eps_v)
-    h = cfg.fd_step
-    kappa_t = (_curvature_only(t + h, s, c, cfg) - _curvature_only(t - h, s, c, cfg)) / (2.0 * h)
-    if np.asarray(s).ndim == 0:
-        kappa_t = float(kappa_t)
-    return kin.with_kappa_t(kappa_t)
+    return frame_from_derivatives(p.d1, p.d2, p.d3, eps_kappa=cfg.eps_kappa, eps_v=cfg.eps_v)

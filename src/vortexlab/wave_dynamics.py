@@ -25,21 +25,15 @@ from .geometry import FrenetFrame, TrajectoryKinematics
 from .ring_model import CoefficientTensor, RingConfig, kinematics_at, phi_eval
 
 __all__ = [
-    "InfeasibleAlignment",
     "AlphaState",
     "AxisField",
     "solve_initial_alignment",
-    "initial_alpha_rates",
     "aligned_initial_state",
     "initial_corr_rate",
     "integrate_wave_system",
     "integrate_alpha",
     "axis_field",
 ]
-
-
-class InfeasibleAlignment(ValueError):
-    """No alpha1, alpha2 give unit axes with dot product +1 at this point."""
 
 
 @dataclass(frozen=True)
@@ -77,8 +71,15 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return np.where(norm[..., None] > 0.0, out, np.nan)
 
 
-def _alignment_coeffs(frame: FrenetFrame, zeta_star: np.ndarray, eps_align: float):
-    """Vectorized alignment solve; returns (alpha1, alpha2, feasible mask)."""
+def solve_initial_alignment(frame: FrenetFrame, zeta_star: np.ndarray, eps_align: float = 1e-6):
+    """(alpha1, alpha2, feasible) making the unit axes coincide, per point.
+
+    With a, b, c the components of the unit ring tangent in the frame, the
+    swirl axis tau - alpha1 n - alpha2 b is a positive multiple of the ring
+    tangent exactly when alpha1 = -b/a, alpha2 = -c/a and a > 0.  Points
+    where a is not above ``eps_align`` are infeasible (the swirl axis always
+    has unit tau-component, so no solution with dot +1 exists) and carry NaN.
+    """
     zs = _unit(np.asarray(zeta_star, dtype=float))
     a = np.sum(zs * frame.tau, axis=-1)
     b = np.sum(zs * frame.n, axis=-1)
@@ -90,47 +91,10 @@ def _alignment_coeffs(frame: FrenetFrame, zeta_star: np.ndarray, eps_align: floa
     return alpha1, alpha2, feasible
 
 
-def solve_initial_alignment(frame: FrenetFrame, zeta_star: np.ndarray, eps_align: float = 1e-6):
-    """Initial (alpha1, alpha2) making the unit axes coincide.
-
-    With a, b, c the components of the unit ring tangent in the frame, the
-    swirl axis tau - alpha1 n - alpha2 b is a positive multiple of the ring
-    tangent exactly when alpha1 = -b/a, alpha2 = -c/a and a > 0.
-
-    Raises
-    ------
-    InfeasibleAlignment
-        If the tangent component a is not above ``eps_align``: the swirl
-        axis always has unit tau-component, so no solution with dot +1
-        exists.
-    """
-    alpha1, alpha2, feasible = _alignment_coeffs(frame, zeta_star, eps_align)
-    if not feasible:
-        raise InfeasibleAlignment(
-            "ring tangent has no positive component along the trajectory tangent"
-        )
-    return float(alpha1), float(alpha2)
-
-
 def _alignment_at_time(t: float, s, c: CoefficientTensor, cfg: RingConfig):
     kin = kinematics_at(t, s, c, cfg)
     zeta_star = phi_eval(t, s, c, cfg).ds
-    return _alignment_coeffs(kin.frame, zeta_star, cfg.eps_align)
-
-
-def initial_alpha_rates(t0: float, s, c: CoefficientTensor, cfg: RingConfig):
-    """Initial d(alpha)/dt by central difference of the alignment solution.
-
-    Differentiating the algebraic alignment solution keeps the axes aligned
-    to second order in (t - t0), which in particular makes the alignment
-    rate vanish at t0.  Infeasibility at either stencil point propagates.
-    """
-    h = cfg.fd_step
-    a1_m, a2_m, f_m = _alignment_at_time(t0 - h, s, c, cfg)
-    a1_p, a2_p, f_p = _alignment_at_time(t0 + h, s, c, cfg)
-    if not np.all(f_m & f_p):
-        raise InfeasibleAlignment("alignment infeasible at a rate-stencil point")
-    return (a1_p - a1_m) / (2.0 * h), (a2_p - a2_m) / (2.0 * h)
+    return solve_initial_alignment(kin.frame, zeta_star, cfg.eps_align)
 
 
 def integrate_wave_system(
@@ -183,11 +147,15 @@ def _wave_coeffs(kin: TrajectoryKinematics):
     return ratio, forcing
 
 
-def _integrate_alpha_cached(c: CoefficientTensor, cfg: RingConfig, init: AlphaState):
-    """Integration plus the node kinematics it already had to evaluate.
+def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> tuple:
+    """RK4 time series of the wave-equation state over [t0, t1].
 
-    Relies on the documented coeff_fn call order of integrate_wave_system
-    (t0, then midpoint/endpoint per step): even-indexed calls are the nodes.
+    ``init`` holds the state at t0 over ``cfg.s_grid``.  Returns the
+    ``cfg.n_time + 1`` states and the kinematics at those nodes, which the
+    integration evaluates anyway: by the documented coeff_fn call order of
+    :func:`integrate_wave_system` (t0, then midpoint and endpoint per step)
+    the even-indexed calls are the nodes.  ZeroSpeed from the kinematics
+    propagates (infeasible trial).
     """
     s = cfg.s_grid
     evaluated: list[TrajectoryKinematics] = []
@@ -204,18 +172,6 @@ def _integrate_alpha_cached(c: CoefficientTensor, cfg: RingConfig, init: AlphaSt
         for t, y in zip(cfg.t_grid, raw)
     ]
     return states, evaluated[::2]
-
-
-def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> list:
-    """RK4 time series of the wave-equation state over [t0, t1].
-
-    ``init`` holds the state at t0 over ``cfg.s_grid``; the result has
-    ``cfg.n_time + 1`` entries with coefficients evaluated on demand at full
-    and half steps.  ZeroSpeed from the kinematics propagates (infeasible
-    trial).
-    """
-    states, _ = _integrate_alpha_cached(c, cfg, init)
-    return states
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
@@ -239,11 +195,11 @@ def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
     return init, feasible
 
 
-def _correlation_at(t: float, y: np.ndarray, c: CoefficientTensor, cfg: RingConfig):
-    kin = kinematics_at(t, cfg.s_grid, c, cfg)
-    zeta = kin.frame.tau - y[0][:, None] * kin.frame.n - y[2][:, None] * kin.frame.b
-    zs = phi_eval(t, cfg.s_grid, c, cfg).ds
-    return np.sum(_unit(zeta) * _unit(zs), axis=-1)
+def _unit_axes(frame: FrenetFrame, alpha1: np.ndarray, alpha2: np.ndarray, zeta_star: np.ndarray):
+    """(unit swirl axis, unit ring tangent, their correlation) over the s-grid."""
+    zeta = frame.tau - alpha1[:, None] * frame.n - alpha2[:, None] * frame.b
+    zeta_hat, zeta_star_hat = _unit(zeta), _unit(zeta_star)
+    return zeta_hat, zeta_star_hat, np.sum(zeta_hat * zeta_star_hat, axis=-1)
 
 
 def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
@@ -255,18 +211,20 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     Richardson extrapolation over h and h/2 removes the leading h^2 error,
     which matters for large deformations where corr bends fast.
     """
+    s = cfg.s_grid
     init, feasible = aligned_initial_state(c, cfg)
     y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
 
     def coeff_fn(t: float):
-        return _wave_coeffs(kinematics_at(t, cfg.s_grid, c, cfg))
+        return _wave_coeffs(kinematics_at(t, s, c, cfg))
+
+    def corr_after_step(t: float) -> np.ndarray:
+        y = integrate_wave_system(coeff_fn, cfg.t0, t, 1, y0)[-1]
+        frame = kinematics_at(t, s, c, cfg).frame
+        return _unit_axes(frame, y[0], y[2], phi_eval(t, s, c, cfg).ds)[2]
 
     def central(h: float) -> np.ndarray:
-        y_p = integrate_wave_system(coeff_fn, cfg.t0, cfg.t0 + h, 1, y0)[-1]
-        y_m = integrate_wave_system(coeff_fn, cfg.t0, cfg.t0 - h, 1, y0)[-1]
-        corr_p = _correlation_at(cfg.t0 + h, y_p, c, cfg)
-        corr_m = _correlation_at(cfg.t0 - h, y_m, c, cfg)
-        return (corr_p - corr_m) / (2.0 * h)
+        return (corr_after_step(cfg.t0 + h) - corr_after_step(cfg.t0 - h)) / (2.0 * h)
 
     h = cfg.fd_step
     rate = (4.0 * central(h / 2.0) - central(h)) / 3.0
@@ -282,23 +240,15 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """
     s = cfg.s_grid
     init, feasible = aligned_initial_state(c, cfg)
-    states, node_kins = _integrate_alpha_cached(c, cfg, init)
+    states, node_kins = integrate_alpha(c, cfg, init)
 
     n_nodes = cfg.n_time + 1
     zeta_hat = np.empty((n_nodes, cfg.n_s, 3))
     zeta_star_hat = np.empty((n_nodes, cfg.n_s, 3))
     corr = np.empty((n_nodes, cfg.n_s))
     for i, (t, state, kin) in enumerate(zip(cfg.t_grid, states, node_kins)):
-        frame = kin.frame
-        zeta = (
-            frame.tau
-            - state.alpha1[:, None] * frame.n
-            - state.alpha2[:, None] * frame.b
-        )
         zs = phi_eval(t, s, c, cfg).ds
-        zeta_hat[i] = _unit(zeta)
-        zeta_star_hat[i] = _unit(zs)
-        corr[i] = np.sum(zeta_hat[i] * zeta_star_hat[i], axis=-1)
+        zeta_hat[i], zeta_star_hat[i], corr[i] = _unit_axes(kin.frame, state.alpha1, state.alpha2, zs)
 
     corr = np.where(feasible[None, :], np.clip(corr, -1.0, 1.0), np.nan)
     return AxisField(

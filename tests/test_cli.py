@@ -68,10 +68,10 @@ def test_load_configs_key_value(desk_config_path):
 
 def test_load_configs_json(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"J": 3, "K": 4, "n_qmc": 5, "strategy": "density_ratio"}))
+    path.write_text(json.dumps({"J": 3, "K": 4, "n_qmc": 5, "strategy": "structured"}))
     ring, study = load_configs(path)
     assert ring.J == 3 and ring.K == 4
-    assert study.n_qmc == 5 and study.strategy == "density_ratio"
+    assert study.n_qmc == 5 and study.strategy == "structured"
 
 
 def test_load_configs_unknown_key_fails_closed(tmp_path):
@@ -188,6 +188,32 @@ def test_optimize_corrupt_log_exits_4(tmp_path, desk_config_path, capsys):
     )
     assert code == 4
     assert "line 2" in capsys.readouterr().err
+
+
+def test_optimize_without_qmc_phase_exits_2(tmp_path, desk_config_path, capsys):
+    study = tmp_path / "study.jsonl"
+    args = ["optimize", "--config", str(desk_config_path), "--study", str(study)]
+    code = main(args + ["--trials-qmc", "0", "--trials-refine", "2"])
+    assert code == 2
+    assert "n_qmc" in capsys.readouterr().err
+    assert not study.exists()
+
+
+def test_optimize_no_feasible_trial_exits_3(tmp_path, capsys):
+    # under the literal-radians radius the undeformed ring aligns nowhere, and
+    # |c| <= 1 keeps every QMC draw too small to open a column, so
+    # perturb_best has nothing to refine around
+    cfgfile = tmp_path / "radians.cfg"
+    cfgfile.write_text(
+        "J = 2\nK = 2\nn_s = 16\nn_time = 8\nc_max = 1\nangle_convention = radians\n"
+        "n_qmc = 2\nn_refine = 1\n"
+    )
+    study = tmp_path / "study.jsonl"
+    code = main(["optimize", "--config", str(cfgfile), "--study", str(study)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "infeasible" in err
+    assert sum(1 for _ in open(study)) == 2  # the QMC trials stay committed
 
 
 def test_val_seed_env_overrides_flag(tmp_path, desk_config_path, monkeypatch):

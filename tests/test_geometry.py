@@ -7,7 +7,7 @@ from vortexlab.geometry import (
     frame_from_derivatives,
 )
 
-from oracles import fd_curvature_torsion
+from oracles import fd_curvature_torsion, richardson_time_derivative
 
 
 def helix_pos(u, a=1.0, c=1.0):
@@ -51,6 +51,43 @@ def test_helix_curvature_torsion():
     kappa_fd, torsion_fd = fd_curvature_torsion(helix_pos, 0.0)
     assert kin.kappa == pytest.approx(kappa_fd, rel=1e-6)
     assert kin.torsion == pytest.approx(torsion_fd, rel=1e-6)
+
+
+def test_parabola_curvature_rate_closed_form():
+    # (t, t^2, 0): kappa = 2 (1 + 4t^2)^(-3/2), kappa' = -24 t (1 + 4t^2)^(-5/2)
+    t = np.linspace(-1.5, 1.5, 13)
+    zeros = np.zeros_like(t)
+    d1 = np.stack([np.ones_like(t), 2.0 * t, zeros], axis=-1)
+    d2 = np.broadcast_to([0.0, 2.0, 0.0], d1.shape)
+    kin = frame_from_derivatives(d1, d2, np.zeros_like(d1))
+    np.testing.assert_allclose(kin.kappa, 2.0 * (1.0 + 4.0 * t**2) ** -1.5, rtol=1e-14)
+    np.testing.assert_allclose(kin.kappa_t, -24.0 * t * (1.0 + 4.0 * t**2) ** -2.5, rtol=1e-13, atol=1e-15)
+    single = frame_from_derivatives(d1[3], d2[3], np.zeros(3))
+    assert isinstance(single.kappa_t, float)
+    assert single.kappa_t == pytest.approx(kin.kappa_t[3], rel=1e-15)
+
+
+def test_curvature_rate_zero_where_cross_product_vanishes():
+    d1 = np.array([[1.0, 0.0, 0.0], [2.0, 1.0, 0.5], [0.0, 3.0, 0.0]])
+    d2 = np.array([[0.0, 0.0, 0.0], [4.0, 2.0, 1.0], [0.0, -1.0, 0.0]])
+    d3 = np.array([[0.0, 5.0, 1.0], [0.1, -0.2, 0.3], [7.0, 0.0, 2.0]])
+    kin = frame_from_derivatives(d1, d2, d3)
+    assert np.all(np.cross(d1, d2) == 0.0)
+    assert np.all(kin.kappa_t == 0.0)
+
+
+def test_curvature_rate_matches_derivative_of_curvature():
+    rng = np.random.default_rng(5)
+    for _ in range(10):
+        _, derivs = trig_curve(rng.standard_normal((3, 2, 3)))
+        u = rng.uniform(0, 2 * np.pi)
+        kin = frame_from_derivatives(*derivs(u))
+        if kin.kappa < 1e-3:
+            continue
+        oracle = richardson_time_derivative(
+            lambda uu: frame_from_derivatives(*derivs(uu)).kappa, u, 1e-3
+        )
+        assert kin.kappa_t == pytest.approx(oracle, rel=1e-7, abs=1e-9)
 
 
 def test_straight_line_degenerate_fallback():

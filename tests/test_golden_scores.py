@@ -6,8 +6,9 @@ before the kinematics refactor that replaced the curvature-rate stencil by
 its closed form.  Entry ``seed`` draws its tensor as
 ``np.random.default_rng(seed).uniform(-scale, scale, dim)`` at scales 0, 1,
 5 and 30.  Each score must match within 1e-7 (the closed form moved them by
-at most 8.4e-10) and each feasible fraction exactly, since the alignment
-gate does not depend on the curvature rate.
+at most 3.5e-9 at desk shape and 4.0e-10 at full scale) and each feasible
+fraction exactly, since the alignment gate does not depend on the curvature
+rate.
 """
 
 import json

@@ -117,21 +117,6 @@ def test_propose_refinements_needs_feasible_history(space):
         propose_refinements(history, 1, seed=0, space=space)
 
 
-def test_propose_density_ratio_in_bounds(space):
-    rng = np.random.default_rng(16)
-    history = [
-        make_record(i, float(rng.random()), rng.uniform(-30, 30, space.dim))
-        for i in range(12)
-    ]
-    proposals = propose_refinements(history, 4, seed=3, strategy="density_ratio", space=space)
-    assert len(proposals) == 4
-    for p in proposals:
-        assert np.all(np.abs(p.flatten()) <= 30.0)
-    again = propose_refinements(history, 4, seed=3, strategy="density_ratio", space=space)
-    for p, q in zip(proposals, again):
-        assert np.array_equal(p.c, q.c)
-
-
 def test_run_study_single_trial(tiny_ring, tmp_path):
     study = StudyConfig(n_qmc=1, n_refine=0, seed=1)
     result = run_study(study, tiny_ring, tmp_path / "log.jsonl")
@@ -212,6 +197,19 @@ def test_study_config_validation():
         StudyConfig(strategy="annealing")
     with pytest.raises(ValueError):
         StudyConfig(parallel_width=0)
+    # perturb_best refines QMC trials, so it needs a QMC phase
+    with pytest.raises(ValueError, match="n_qmc"):
+        StudyConfig(n_qmc=0, n_refine=2)
+    assert StudyConfig(n_qmc=0, n_refine=2, strategy="structured").n_qmc == 0
+    assert StudyConfig(n_qmc=2, n_refine=0).n_refine == 0
+
+
+def test_run_study_structured_without_qmc_phase(tiny_ring, tmp_path):
+    study = StudyConfig(n_qmc=0, n_refine=2, seed=3, strategy="structured")
+    result = run_study(study, tiny_ring, tmp_path / "log.jsonl")
+    assert [rec.phase for rec in result.history] == ["refine", "refine"]
+    ceiling = feasibility_ceiling(tiny_ring)
+    assert result.history[0].feasible_fraction == ceiling.n_feasible / tiny_ring.n_s
 
 
 def test_parallel_width_runs_all_trials(tiny_ring, tmp_path):
@@ -317,6 +315,12 @@ def test_propose_structured_pins_ceiling_row(space, tiny_ring):
     )
     # the first refine trial is the ceiling row on an otherwise zero tensor
     np.testing.assert_array_equal(first[0].c, row_tensor(ceiling.row, tiny_ring).c)
+    # unlike perturb_best, it needs no feasible trial to start from
+    infeasible = [make_record(0, 0.0, np.zeros(space.dim), feasible_fraction=0.0)]
+    (alone,) = propose_refinements(
+        infeasible, 1, seed=4, strategy="structured", space=space, ceiling=ceiling
+    )
+    np.testing.assert_array_equal(alone.c, first[0].c)
     refined = history + [make_record(6, 0.9, first[1].flatten(), phase="refine")]
     later = propose_refinements(
         refined, 4, seed=5, strategy="structured", space=space, ceiling=ceiling

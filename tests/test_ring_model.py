@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -196,6 +197,18 @@ def test_kappa_t_matches_richardson_oracle(desk_cfg):
         oracle = richardson_time_derivative(kappa_of_t, t, 1e-4)
         assert abs(kin.kappa_t - oracle) / max(abs(oracle), 1.0) < 1e-5
         checked += 1
+
+
+def test_kappa_t_is_independent_of_fd_step(desk_cfg):
+    # closed form: the finite-difference step of the time stencils must not enter
+    c = random_tensor(np.random.default_rng(10), desk_cfg, scale=5.0)
+    coarse = dataclasses.replace(desk_cfg, fd_step_factor=2.0**-3)
+    fine = dataclasses.replace(desk_cfg, fd_step_factor=2.0**-10)
+    for t in (desk_cfg.t0, 0.03, desk_cfg.t1):
+        a = kinematics_at(t, desk_cfg.s_grid, c, coarse).kappa_t
+        b = kinematics_at(t, desk_cfg.s_grid, c, fine).kappa_t
+        assert np.any(a != 0.0)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_coefficient_tensor_shape_and_bounds():

@@ -6,9 +6,8 @@ import pytest
 from vortexlab.geometry import frame_from_derivatives
 from vortexlab.ring_model import CoefficientTensor, RingConfig, kinematics_at, phi_eval
 from vortexlab.wave_dynamics import (
-    InfeasibleAlignment,
+    aligned_initial_state,
     axis_field,
-    initial_alpha_rates,
     integrate_alpha,
     integrate_wave_system,
     solve_initial_alignment,
@@ -27,37 +26,41 @@ def circle_frame():
 
 
 def test_alignment_already_aligned(circle_frame):
-    a1, a2 = solve_initial_alignment(circle_frame, circle_frame.tau)
+    a1, a2, feasible = solve_initial_alignment(circle_frame, circle_frame.tau)
+    assert feasible
     assert a1 == pytest.approx(0.0, abs=1e-15)
     assert a2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_alignment_tau_plus_n(circle_frame):
     target = (circle_frame.tau + circle_frame.n) / np.sqrt(2)
-    a1, a2 = solve_initial_alignment(circle_frame, target)
+    a1, a2, feasible = solve_initial_alignment(circle_frame, target)
+    assert feasible
     assert a1 == pytest.approx(-1.0, rel=1e-14)
     assert a2 == pytest.approx(0.0, abs=1e-15)
 
 
 def test_alignment_normal_is_infeasible(circle_frame):
-    with pytest.raises(InfeasibleAlignment):
-        solve_initial_alignment(circle_frame, circle_frame.n)
+    a1, a2, feasible = solve_initial_alignment(circle_frame, circle_frame.n)
+    assert not feasible
+    assert np.isnan(a1) and np.isnan(a2)
 
 
 def test_alignment_gives_exact_unit_correlation(circle_frame):
-    rng = np.random.default_rng(11)
-    for _ in range(200):
-        target = rng.standard_normal(3)
-        a = target @ circle_frame.tau
-        if a <= 1e-6 * np.linalg.norm(target):
-            continue
-        a1, a2 = solve_initial_alignment(circle_frame, target)
-        zeta = circle_frame.tau - a1 * circle_frame.n - a2 * circle_frame.b
-        corr = (zeta @ target) / (np.linalg.norm(zeta) * np.linalg.norm(target))
-        assert corr == pytest.approx(1.0, abs=1e-12)
-        # swirl axis keeps unit tangent component and |zeta|^2 = 1 + a1^2 + a2^2
-        assert zeta @ circle_frame.tau == pytest.approx(1.0, abs=1e-12)
-        assert zeta @ zeta == pytest.approx(1.0 + a1**2 + a2**2, rel=1e-12)
+    targets = np.random.default_rng(11).standard_normal((200, 3))
+    a1, a2, feasible = solve_initial_alignment(circle_frame, targets)
+    expect = targets @ circle_frame.tau > 1e-6 * np.linalg.norm(targets, axis=-1)
+    np.testing.assert_array_equal(feasible, expect)
+    assert np.all(np.isnan(a1[~feasible])) and np.all(np.isnan(a2[~feasible]))
+    a1, a2, targets = a1[feasible], a2[feasible], targets[feasible]
+    zeta = circle_frame.tau - a1[:, None] * circle_frame.n - a2[:, None] * circle_frame.b
+    corr = np.sum(zeta * targets, axis=-1) / (
+        np.linalg.norm(zeta, axis=-1) * np.linalg.norm(targets, axis=-1)
+    )
+    np.testing.assert_allclose(corr, 1.0, atol=1e-12)
+    # swirl axis keeps unit tangent component and |zeta|^2 = 1 + a1^2 + a2^2
+    np.testing.assert_allclose(zeta @ circle_frame.tau, 1.0, atol=1e-12)
+    np.testing.assert_allclose(np.sum(zeta * zeta, axis=-1), 1.0 + a1**2 + a2**2, rtol=1e-12)
 
 
 def test_initial_rates_zero_for_stationary_alignment(monkeypatch):
@@ -69,32 +72,37 @@ def test_initial_rates_zero_for_stationary_alignment(monkeypatch):
         return 0.7 * np.ones_like(s), -0.2 * np.ones_like(s), np.ones_like(s, dtype=bool)
 
     monkeypatch.setattr(wave_dynamics, "_alignment_at_time", frozen_alignment)
-    r1, r2 = initial_alpha_rates(cfg.t0, cfg.s_grid, c, cfg)
-    np.testing.assert_allclose(r1, 0.0, atol=1e-15)
-    np.testing.assert_allclose(r2, 0.0, atol=1e-15)
+    init, feasible = aligned_initial_state(c, cfg)
+    assert np.all(feasible)
+    np.testing.assert_allclose(init.alpha1_t, 0.0, atol=1e-15)
+    np.testing.assert_allclose(init.alpha2_t, 0.0, atol=1e-15)
 
 
 def test_initial_rates_match_richardson_oracle():
     cfg = RingConfig()
     c = CoefficientTensor.zeros(cfg.J, cfg.K)
-    s = 0.375  # feasible for the undeformed ring
+    col = 48
+    s = cfg.s_grid[col]
+    assert s == 0.375  # feasible for the undeformed ring
 
     def alignment_solution(t):
         kin = kinematics_at(t, s, c, cfg)
         zs = phi_eval(t, s, c, cfg).ds
-        return np.array(solve_initial_alignment(kin.frame, zs, cfg.eps_align))
+        return np.array(solve_initial_alignment(kin.frame, zs, cfg.eps_align)[:2])
 
     oracle = richardson_time_derivative(alignment_solution, cfg.t0, cfg.fd_step)
-    r1, r2 = initial_alpha_rates(cfg.t0, s, c, cfg)
-    assert float(r1) == pytest.approx(oracle[0], rel=1e-6)
-    assert float(r2) == pytest.approx(oracle[1], abs=1e-8)
+    init, feasible = aligned_initial_state(c, cfg)
+    assert feasible[col]
+    assert init.alpha1_t[col] == pytest.approx(oracle[0], rel=1e-6)
+    assert init.alpha2_t[col] == pytest.approx(oracle[1], abs=1e-8)
 
 
 def test_initial_rates_propagate_infeasibility():
     cfg = RingConfig()
     c = CoefficientTensor.zeros(cfg.J, cfg.K)
-    with pytest.raises(InfeasibleAlignment):
-        initial_alpha_rates(cfg.t0, 0.0, c, cfg)  # symmetry point of the ellipse
+    init, feasible = aligned_initial_state(c, cfg)
+    assert not feasible[0]  # symmetry point of the ellipse
+    assert np.isnan(init.alpha1_t[0]) and np.isnan(init.alpha2_t[0])
 
 
 def test_synthetic_oscillator_alpha2_tracks_speed():
@@ -122,17 +130,13 @@ def test_homogeneous_symmetry_alpha1_equals_alpha2():
         assert y[1, 0] == pytest.approx(y[3, 0], rel=1e-14)
 
 
-def _baseline_init(cfg, c):
-    return wave_dynamics.aligned_initial_state(c, cfg)
-
-
 def test_rk4_self_convergence_against_fine_reference():
     cfg = RingConfig()
     c = CoefficientTensor.zeros(cfg.J, cfg.K)
-    init, feas = _baseline_init(cfg, c)
-    coarse = integrate_alpha(c, cfg, init)[-1]
-    fine = integrate_alpha(c, dataclasses.replace(cfg, n_time=320), init)[-1]
-    halved = integrate_alpha(c, dataclasses.replace(cfg, n_time=64), init)[-1]
+    init, feas = aligned_initial_state(c, cfg)
+    coarse = integrate_alpha(c, cfg, init)[0][-1]
+    fine = integrate_alpha(c, dataclasses.replace(cfg, n_time=320), init)[0][-1]
+    halved = integrate_alpha(c, dataclasses.replace(cfg, n_time=64), init)[0][-1]
 
     def rel_err(state):
         num = np.abs(state.alpha1 - fine.alpha1)[feas]
@@ -197,10 +201,13 @@ def test_axis_field_deformed_keeps_contracts():
     assert field.feasible.any()
     corr0 = field.corr[0, field.feasible]
     np.testing.assert_allclose(corr0, 1.0, atol=1e-12)
-    states = integrate_alpha(c, cfg, _baseline_init(cfg, c)[0])
-    assert len(states) == cfg.n_time + 1
+    states, node_kins = integrate_alpha(c, cfg, aligned_initial_state(c, cfg)[0])
+    assert len(states) == len(node_kins) == cfg.n_time + 1
     # zeta keeps unit tangent component before normalization
     kin = kinematics_at(cfg.t1, cfg.s_grid, c, cfg)
+    # the returned kinematics are those of the time nodes, the last at t1
+    np.testing.assert_allclose(node_kins[-1].frame.tau, kin.frame.tau, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(node_kins[-1].v, kin.v, rtol=1e-12)
     last = states[-1]
     zeta = kin.frame.tau - last.alpha1[:, None] * kin.frame.n - last.alpha2[:, None] * kin.frame.b
     dots = np.sum(zeta * kin.frame.tau, axis=-1)[field.feasible]
