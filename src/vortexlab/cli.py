@@ -182,9 +182,7 @@ def cmd_simulate(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    positions = np.stack(
-        [phi_eval(t, ring.s_grid, tensor, ring).position for t in field.t_nodes]
-    )
+    positions = phi_eval(field.t_nodes, ring.s_grid, tensor, ring).position
     _write_grid_csv(out_dir / "grid.csv", field, positions)
     (out_dir / "madc_report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     _write_manifest(

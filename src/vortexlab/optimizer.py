@@ -21,6 +21,7 @@ uninterrupted.
 from __future__ import annotations
 
 import json
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -175,27 +176,37 @@ class StudyResult:
         }
 
 
-def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
-    """n scrambled-Sobol coefficient tensors scaled to the search box.
-
-    The stream is deterministic in (seed, space) and point i never depends
-    on n; ``skip`` fast-forwards the stream for resumption.
-    """
+def _sobol_sampler(space: SearchSpace, seed: int, skip: int):
+    """The study's scrambled Sobol generator, fast-forwarded past ``skip`` points."""
     if space.dim > _SOBOL_MAX_DIM:
         raise DimensionTooLarge(
             f"dim = {space.dim} exceeds the Sobol limit {_SOBOL_MAX_DIM}; reduce J/K"
         )
-    if n == 0:
-        return []
     sampler = qmc.Sobol(d=space.dim, scramble=True, seed=seed)
     if skip:
         sampler.fast_forward(skip)
+    return sampler
+
+
+def _draw_qmc(sampler, space: SearchSpace, n: int) -> list:
+    """The sampler's next n points as coefficient tensors scaled to the search box."""
     with warnings.catch_warnings():
         # resumable prefix draws are deliberately not powers of two
         warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
         unit = sampler.random(n)
     flats = (2.0 * unit - 1.0) * space.c_max
     return [space.unflatten(flat) for flat in flats]
+
+
+def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
+    """n scrambled-Sobol coefficient tensors scaled to the search box.
+
+    The stream is deterministic in (seed, space) and point i never depends
+    on n; ``skip`` fast-forwards the stream for resumption.  Drawing
+    consecutive batches from one sampler (as :func:`run_study` does) gives
+    the same points as calls with increasing ``skip``.
+    """
+    return _draw_qmc(_sobol_sampler(space, seed, skip), space, n)
 
 
 def _best_record(history: list) -> TrialRecord:
@@ -437,10 +448,20 @@ def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
     return report.score, report.madc, report.feasible_fraction
 
 
-def _parse_log(log_path: Path, space: SearchSpace) -> list:
+def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
+    """(records, bytes of an unterminated final line) of a trial log.
+
+    A final line without its newline is what a kill mid-write leaves; it is
+    dropped, never parsed.  Every newline-terminated line must be a valid
+    record.
+    """
     history = []
+    torn = 0
     with open(log_path) as fh:
         for line_no, line in enumerate(fh, start=1):
+            if not line.endswith("\n"):
+                torn = len(line.encode())
+                break
             if line.strip() == "":
                 raise CorruptTrialLog(line_no, "blank line")
             try:
@@ -458,7 +479,7 @@ def _parse_log(log_path: Path, space: SearchSpace) -> list:
                     line_no, f"coeffs length {len(raw['coeffs'])} != dim {space.dim}"
                 )
             history.append(TrialRecord(**raw))
-    return history
+    return history, torn
 
 
 def run_study(
@@ -471,7 +492,9 @@ def run_study(
 
     ``limit`` stops the study after that many total committed trials (the
     log stays resumable); the default runs n_qmc + n_refine.  Records are
-    committed strictly in trial order, one flushed line per trial.
+    committed strictly in trial order, one flushed line per trial.  On
+    resume an unterminated final line (a record cut by a kill) is truncated
+    away and its trial runs again.
     """
     log_path = Path(log_path)
     space = SearchSpace.from_ring_config(ring)
@@ -479,12 +502,15 @@ def run_study(
     if limit is not None:
         n_total = min(n_total, limit)
 
-    history = _parse_log(log_path, space) if log_path.exists() else []
+    history, torn = _parse_log(log_path, space) if log_path.exists() else ([], 0)
     if len(history) > study.n_qmc + study.n_refine:
         raise CorruptTrialLog(len(history), "log longer than the study budget")
+    if torn:
+        os.truncate(log_path, log_path.stat().st_size - torn)
 
     deterministic = study.parallel_width == 1
     ceiling = None
+    sobol = None
 
     def evaluate(tensor: CoefficientTensor) -> tuple:
         start = time.perf_counter()
@@ -516,7 +542,9 @@ def run_study(
                 ids = range(start_id, start_id + width)
                 if start_id < study.n_qmc:
                     ids = range(start_id, min(start_id + width, study.n_qmc))
-                    tensors = sample_qmc(space, len(ids), study.seed, skip=start_id)
+                    if sobol is None:
+                        sobol = _sobol_sampler(space, study.seed, skip=start_id)
+                    tensors = _draw_qmc(sobol, space, len(ids))
                     phase = "qmc"
                 else:
                     if study.strategy == "structured" and ceiling is None:

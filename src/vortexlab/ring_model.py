@@ -12,8 +12,8 @@ derivatives up to third order, plus the angular derivative, are evaluated in
 closed form, and so is every trajectory quantity built from them (see
 :func:`kinematics_at`).
 
-``s`` arguments may be scalars or 1-d arrays; vector outputs carry a trailing
-axis of length 3.
+``t`` and ``s`` arguments may be scalars or 1-d arrays; outputs have shape
+``t.shape + s.shape`` and vector outputs carry a trailing axis of length 3.
 """
 
 from __future__ import annotations
@@ -164,13 +164,19 @@ class CoefficientTensor:
 
 @dataclass(frozen=True)
 class RingPoint:
-    """Position and derivatives of Phi at one (t, s) or one t and many s."""
+    """Position and derivatives of Phi on a (t, s) grid (either axis may be scalar)."""
 
     position: np.ndarray
     d1: np.ndarray
     d2: np.ndarray
     d3: np.ndarray
     ds: np.ndarray
+
+    def kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
+        """Trajectory kinematics at these points (see :func:`kinematics_at`)."""
+        return frame_from_derivatives(
+            self.d1, self.d2, self.d3, eps_kappa=cfg.eps_kappa, eps_v=cfg.eps_v
+        )
 
 
 @dataclass(frozen=True)
@@ -228,65 +234,71 @@ def transport_gamma(t: float):
     return g, g1, g2, g3
 
 
-def _time_power_table(dt: float, J: int) -> np.ndarray:
-    """Rows o=0..3 of the falling-factorial derivatives of dt^(j+1), j=0..J."""
+def _time_power_table(dt, J: int) -> np.ndarray:
+    """Falling-factorial derivatives of dt^(j+1), j=0..J, for orders o=0..3.
+
+    Shape (4,) + dt.shape + (J+1,): a scalar dt gives a (4, J+1) table.
+    """
+    dt = np.asarray(dt, dtype=float)[..., None]
     p = np.arange(1, J + 2, dtype=float)
-    table = np.empty((4, J + 1))
+    table = np.empty((4,) + dt.shape[:-1] + (J + 1,))
     fall = np.ones(J + 1)
     for o in range(4):
         e = np.maximum(p - o, 0.0)
-        table[o] = fall * dt**e
-        table[o][fall == 0.0] = 0.0
+        table[o] = np.where(fall == 0.0, 0.0, fall * dt**e)
         fall = fall * (p - o)
     return table
 
 
-def deformation_eval(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> DeformationValues:
-    """Evaluate gamma1, gamma2 and their exact partials at time t.
+def deformation_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> DeformationValues:
+    """Evaluate gamma1, gamma2 and their exact partials at time(s) t.
 
     The series is (K+1)^-1 sum_jk c[l, m, j, k] (t - t0)^(j+1) trig(2 pi k s)
-    with m=0 the sine and m=1 the cosine family; all outputs share the shape
-    of ``s``.
+    with m=0 the sine and m=1 the cosine family.  ``t`` is a scalar or a 1-d
+    array; outputs have shape ``t.shape + s.shape``.
     """
     s = np.asarray(s, dtype=float)
-    dt = t - cfg.t0
+    dt = np.asarray(t, dtype=float) - cfg.t0
     K = c.K
+    n_basis = 2 * (K + 1)
 
-    # time_coeffs[o, l, m, k]: order-o time derivative of the polynomial sum
+    # time_coeffs[o, ..., l, (m, k)]: order-o time derivative of the polynomial sum
     pows = _time_power_table(dt, c.J)
-    time_coeffs = np.einsum("oj,lmjk->olmk", pows, c.c) / (K + 1.0)
+    time_coeffs = np.einsum("o...j,lmjk->o...lmk", pows, c.c) / (K + 1.0)
+    time_coeffs = time_coeffs.reshape(4, -1, n_basis)
 
-    ang = 2.0 * np.pi * np.outer(s, np.arange(K + 1))
-    sin_k = np.sin(ang)
-    cos_k = np.cos(ang)
+    ang = 2.0 * np.pi * np.outer(s.reshape(-1), np.arange(K + 1))
+    sin_k, cos_k = np.sin(ang), np.cos(ang)
     kfac = 2.0 * np.pi * np.arange(K + 1)
-    dsin_k = kfac * cos_k
-    dcos_k = -kfac * sin_k
+    basis = np.vstack([sin_k.T, cos_k.T])
+    basis_s = np.vstack([(kfac * cos_k).T, (-kfac * sin_k).T])
 
-    def combine(o: int, l: int) -> np.ndarray:
-        out = sin_k @ time_coeffs[o, l, 0] + cos_k @ time_coeffs[o, l, 1]
-        return out.reshape(s.shape)
-
-    def combine_s(l: int) -> np.ndarray:
-        out = dsin_k @ time_coeffs[0, l, 0] + dcos_k @ time_coeffs[0, l, 1]
-        return out.reshape(s.shape)
-
+    # one matmul for every (o, t..., l) row; the s-derivative needs only o = 0
+    values = (time_coeffs.reshape(-1, n_basis) @ basis).reshape((4,) + dt.shape + (2,) + s.shape)
+    slopes = (time_coeffs[0] @ basis_s).reshape(dt.shape + (2,) + s.shape)
+    g1, g2 = np.moveaxis(values, dt.ndim + 1, 0)
+    g1_s, g2_s = np.moveaxis(slopes, dt.ndim, 0)
     return DeformationValues(
-        g1=combine(0, 0),
-        g1_t=combine(1, 0),
-        g1_tt=combine(2, 0),
-        g1_ttt=combine(3, 0),
-        g1_s=combine_s(0),
-        g2=combine(0, 1),
-        g2_t=combine(1, 1),
-        g2_tt=combine(2, 1),
-        g2_ttt=combine(3, 1),
-        g2_s=combine_s(1),
+        g1=g1[0],
+        g1_t=g1[1],
+        g1_tt=g1[2],
+        g1_ttt=g1[3],
+        g1_s=g1_s,
+        g2=g2[0],
+        g2_t=g2[1],
+        g2_tt=g2[2],
+        g2_ttt=g2[3],
+        g2_s=g2_s,
     )
 
 
-def phi_eval(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
-    """Ring position and its closed-form t-derivatives (1-3) and s-derivative."""
+def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
+    """Ring position and its closed-form t-derivatives (1-3) and s-derivative.
+
+    ``t`` is a scalar or a 1-d array of times; every field has shape
+    ``t.shape + s.shape + (3,)``.
+    """
+    t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     two_pi_s = 2.0 * np.pi * s
     cos_s, sin_s = np.cos(two_pi_s), np.sin(two_pi_s)
@@ -296,7 +308,8 @@ def phi_eval(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
 
     r = radius_profile(s, cfg.delta, cfg.angle_convention)
     r_s = radius_profile_deriv(s, cfg.delta, cfg.angle_convention)
-    g, g1, g2, g3 = transport_gamma(t)
+    # time profiles broadcast against the s axes
+    g, g1, g2, g3 = transport_gamma(t.reshape(t.shape + (1,) * s.ndim))
     d = deformation_eval(t, s, c, cfg)
 
     radial = r + g + d.g1
@@ -315,11 +328,11 @@ def phi_eval(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
     return RingPoint(position=position, d1=d1, d2=d2, d3=d3, ds=ds)
 
 
-def kinematics_at(t: float, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKinematics:
-    """Full kinematics of the transport trajectory through (t, s), all closed form.
+def kinematics_at(t, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKinematics:
+    """Full kinematics of the transport trajectories through (t, s), all closed form.
 
-    Raises ZeroSpeed (from :func:`frame_from_derivatives`) when the
-    trajectory speed vanishes; callers treat that as an infeasible trial.
+    ``t`` is a scalar or a 1-d array of times (see :func:`phi_eval`).  Raises
+    ZeroSpeed (from :func:`frame_from_derivatives`) when the trajectory speed
+    vanishes at any point; callers treat that as an infeasible trial.
     """
-    p = phi_eval(t, s, c, cfg)
-    return frame_from_derivatives(p.d1, p.d2, p.d3, eps_kappa=cfg.eps_kappa, eps_v=cfg.eps_v)
+    return phi_eval(t, s, c, cfg).kinematics(cfg)

@@ -132,6 +132,20 @@ def check_dinv_expansion(
     return float(slope)
 
 
+def _leibniz_residual(d1_lo, d1, d1_hi, d2, h: float) -> float:
+    """The residual from d1 at t - h, t, t + h and d2 at t."""
+
+    def unit(vec: np.ndarray) -> np.ndarray:
+        return vec / np.linalg.norm(vec)
+
+    v = np.linalg.norm(d1)
+    v_t = float(np.dot(d1, d2)) / v
+    zphi = d1 / v
+    dzz_phi = (unit(d1_hi) - unit(d1_lo)) / (2.0 * h) / v
+    residual = d2 - v**2 * dzz_phi - v_t * zphi
+    return float(np.linalg.norm(residual) / np.linalg.norm(d2))
+
+
 def leibniz_residual_from_curve(
     d1_fn: Callable[[float], np.ndarray],
     d2_fn: Callable[[float], np.ndarray],
@@ -145,31 +159,19 @@ def leibniz_residual_from_curve(
     of the unit tangent, so the identity is a genuine cross-check between
     the d1/d2 closed forms rather than an algebraic tautology.
     """
-
-    def z_tangent(tt: float) -> np.ndarray:
-        d1 = d1_fn(tt)
-        return d1 / np.linalg.norm(d1)
-
-    d1 = d1_fn(t)
-    d2 = d2_fn(t)
-    v = np.linalg.norm(d1)
-    v_t = float(np.dot(d1, d2)) / v
-    zphi = d1 / v
-    dzz_phi = (z_tangent(t + h) - z_tangent(t - h)) / (2.0 * h) / v
-    residual = d2 - v**2 * dzz_phi - v_t * zphi
-    return float(np.linalg.norm(residual) / np.linalg.norm(d2))
+    return _leibniz_residual(d1_fn(t - h), d1_fn(t), d1_fn(t + h), d2_fn(t), h)
 
 
 def check_leibniz_identity(
     c: CoefficientTensor, cfg: RingConfig, t: float, s: float
 ) -> float:
-    """Leibniz-identity residual on the ring trajectory through (t, s)."""
-    return leibniz_residual_from_curve(
-        lambda tt: phi_eval(tt, s, c, cfg).d1,
-        lambda tt: phi_eval(tt, s, c, cfg).d2,
-        t,
-        cfg.fd_step,
-    )
+    """Leibniz-identity residual on the ring trajectory through (t, s).
+
+    The stencil times t - h, t, t + h come from one Phi evaluation.
+    """
+    h = cfg.fd_step
+    p = phi_eval(np.array([t - h, t, t + h]), s, c, cfg)
+    return _leibniz_residual(p.d1[0], p.d1[1], p.d1[2], p.d2[1], h)
 
 
 def check_closure_rearrangement(

@@ -16,13 +16,14 @@ NaN correlations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
 
 from .geometry import FrenetFrame, TrajectoryKinematics
-from .ring_model import CoefficientTensor, RingConfig, kinematics_at, phi_eval
+# kinematics_at stays a module attribute: perfbench/tracer.py patches it here
+from .ring_model import CoefficientTensor, RingConfig, kinematics_at, phi_eval  # noqa: F401
 
 __all__ = [
     "AlphaState",
@@ -91,10 +92,17 @@ def solve_initial_alignment(frame: FrenetFrame, zeta_star: np.ndarray, eps_align
     return alpha1, alpha2, feasible
 
 
-def _alignment_at_time(t: float, s, c: CoefficientTensor, cfg: RingConfig):
-    kin = kinematics_at(t, s, c, cfg)
-    zeta_star = phi_eval(t, s, c, cfg).ds
-    return solve_initial_alignment(kin.frame, zeta_star, cfg.eps_align)
+def _rk4_abscissae(t0: float, t1: float, n_steps: int) -> np.ndarray:
+    """The times :func:`integrate_wave_system` asks coefficients for, in call order.
+
+    t0, then per step i the midpoint t0 + i h + h/2 and the endpoint t0 + i h + h.
+    """
+    h = (t1 - t0) / n_steps
+    times = [t0]
+    for i in range(n_steps):
+        t = t0 + i * h
+        times += [t + 0.5 * h, t + h]
+    return np.array(times)
 
 
 def integrate_wave_system(
@@ -125,12 +133,12 @@ def integrate_wave_system(
         out[3] = ratio * state[2]
         return out
 
+    times = _rk4_abscissae(t0, t1, n_steps)
     states = [y.copy()]
-    coeffs_lo = coeff_fn(t0)
+    coeffs_lo = coeff_fn(times[0])
     for i in range(n_steps):
-        t = t0 + i * h
-        coeffs_mid = coeff_fn(t + 0.5 * h)
-        coeffs_hi = coeff_fn(t + h)
+        coeffs_mid = coeff_fn(times[2 * i + 1])
+        coeffs_hi = coeff_fn(times[2 * i + 2])
         k1 = rhs(coeffs_lo, y)
         k2 = rhs(coeffs_mid, y + 0.5 * h * k1)
         k3 = rhs(coeffs_mid, y + 0.5 * h * k2)
@@ -147,31 +155,66 @@ def _wave_coeffs(kin: TrajectoryKinematics):
     return ratio, forcing
 
 
+def _evaluate_grid(times: np.ndarray, c: CoefficientTensor, cfg: RingConfig):
+    """(kinematics, ring tangent dPhi/ds) on times x s-grid from one Phi evaluation.
+
+    ZeroSpeed anywhere on the grid propagates (infeasible trial).
+    """
+    p = phi_eval(times, cfg.s_grid, c, cfg)
+    return p.kinematics(cfg), p.ds
+
+
+def _take(rows, idx):
+    """Rows ``idx`` of every array in a (nested) dataclass of time-stacked arrays."""
+    values = {f.name: getattr(rows, f.name) for f in fields(rows)}
+    return type(rows)(
+        **{k: _take(v, idx) if is_dataclass(v) else v[idx] for k, v in values.items()}
+    )
+
+
+def _aligned_start(frame: FrenetFrame, zeta_star: np.ndarray, cfg: RingConfig, rows):
+    """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
+
+    The rates are central differences of the alignment over h = fd_step; a
+    column is feasible where it aligns at all three times, and infeasible
+    columns carry NaN.
+    """
+    a1, a2, aligned = solve_initial_alignment(_take(frame, rows), zeta_star[rows], cfg.eps_align)
+    feasible = np.all(aligned, axis=0)
+    h = cfg.fd_step
+    init = AlphaState(
+        t=cfg.t0,
+        alpha1=np.where(feasible, a1[1], np.nan),
+        alpha2=np.where(feasible, a2[1], np.nan),
+        alpha1_t=np.where(feasible, (a1[2] - a1[0]) / (2.0 * h), np.nan),
+        alpha2_t=np.where(feasible, (a2[2] - a2[0]) / (2.0 * h), np.nan),
+    )
+    return init, feasible
+
+
+def _integrate(ratio: np.ndarray, forcing: np.ndarray, init: AlphaState, cfg: RingConfig) -> list:
+    """RK4 states at the ``cfg.t_grid`` nodes, coefficients given per abscissa row."""
+    rows = iter(zip(ratio, forcing))
+    y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
+    raw = integrate_wave_system(lambda t: next(rows), cfg.t0, cfg.t1, cfg.n_time, y0)
+    return [
+        AlphaState(t=t, alpha1=y[0], alpha2=y[2], alpha1_t=y[1], alpha2_t=y[3])
+        for t, y in zip(cfg.t_grid, raw)
+    ]
+
+
 def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> tuple:
     """RK4 time series of the wave-equation state over [t0, t1].
 
     ``init`` holds the state at t0 over ``cfg.s_grid``.  Returns the
-    ``cfg.n_time + 1`` states and the kinematics at those nodes, which the
-    integration evaluates anyway: by the documented coeff_fn call order of
-    :func:`integrate_wave_system` (t0, then midpoint and endpoint per step)
-    the even-indexed calls are the nodes.  ZeroSpeed from the kinematics
-    propagates (infeasible trial).
+    ``cfg.n_time + 1`` states and the kinematics at those nodes, both from
+    one grid evaluation over the RK4 abscissae (t0, then midpoint and
+    endpoint per step, so the even rows are the nodes).  ZeroSpeed from the
+    kinematics propagates (infeasible trial).
     """
-    s = cfg.s_grid
-    evaluated: list[TrajectoryKinematics] = []
-
-    def coeff_fn(t: float):
-        kin = kinematics_at(t, s, c, cfg)
-        evaluated.append(kin)
-        return _wave_coeffs(kin)
-
-    y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
-    raw = integrate_wave_system(coeff_fn, cfg.t0, cfg.t1, cfg.n_time, y0)
-    states = [
-        AlphaState(t=t, alpha1=y[0], alpha2=y[2], alpha1_t=y[1], alpha2_t=y[3])
-        for t, y in zip(cfg.t_grid, raw)
-    ]
-    return states, evaluated[::2]
+    kin, _ = _evaluate_grid(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), c, cfg)
+    states = _integrate(*_wave_coeffs(kin), init, cfg)
+    return states, [_take(kin, i) for i in range(0, 2 * cfg.n_time + 1, 2)]
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
@@ -179,25 +222,14 @@ def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
 
     Infeasible columns (at t0 or at either rate-stencil point) carry NaN.
     """
-    s = cfg.s_grid
-    a1_0, a2_0, f_0 = _alignment_at_time(cfg.t0, s, c, cfg)
     h = cfg.fd_step
-    a1_m, a2_m, f_m = _alignment_at_time(cfg.t0 - h, s, c, cfg)
-    a1_p, a2_p, f_p = _alignment_at_time(cfg.t0 + h, s, c, cfg)
-    feasible = f_0 & f_m & f_p
-    init = AlphaState(
-        t=cfg.t0,
-        alpha1=np.where(feasible, a1_0, np.nan),
-        alpha2=np.where(feasible, a2_0, np.nan),
-        alpha1_t=np.where(feasible, (a1_p - a1_m) / (2.0 * h), np.nan),
-        alpha2_t=np.where(feasible, (a2_p - a2_m) / (2.0 * h), np.nan),
-    )
-    return init, feasible
+    kin, zeta_star = _evaluate_grid(np.array([cfg.t0 - h, cfg.t0, cfg.t0 + h]), c, cfg)
+    return _aligned_start(kin.frame, zeta_star, cfg, rows=slice(0, 3))
 
 
 def _unit_axes(frame: FrenetFrame, alpha1: np.ndarray, alpha2: np.ndarray, zeta_star: np.ndarray):
-    """(unit swirl axis, unit ring tangent, their correlation) over the s-grid."""
-    zeta = frame.tau - alpha1[:, None] * frame.n - alpha2[:, None] * frame.b
+    """(unit swirl axis, unit ring tangent, their correlation) per grid point."""
+    zeta = frame.tau - alpha1[..., None] * frame.n - alpha2[..., None] * frame.b
     zeta_hat, zeta_star_hat = _unit(zeta), _unit(zeta_star)
     return zeta_hat, zeta_star_hat, np.sum(zeta_hat * zeta_star_hat, axis=-1)
 
@@ -211,49 +243,53 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     Richardson extrapolation over h and h/2 removes the leading h^2 error,
     which matters for large deformations where corr bends fast.
     """
-    s = cfg.s_grid
-    init, feasible = aligned_initial_state(c, cfg)
+    t0, h = cfg.t0, cfg.fd_step
+    targets = (t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h)
+    # rows 0-2: the alignment stencil; then (t0, midpoint, end) of one RK4 step to each target
+    steps = [_rk4_abscissae(t0, t, 1) for t in targets]
+    kin, zeta_star = _evaluate_grid(np.concatenate([[t0 - h, t0, t0 + h], *steps]), c, cfg)
+    init, feasible = _aligned_start(kin.frame, zeta_star, cfg, rows=slice(0, 3))
+    ratio, forcing = _wave_coeffs(kin)
     y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
 
-    def coeff_fn(t: float):
-        return _wave_coeffs(kinematics_at(t, s, c, cfg))
+    corr = []
+    for i, t in enumerate(targets):
+        lo, end = 3 + 3 * i, 5 + 3 * i
+        coeffs = iter(zip(ratio[lo : end + 1], forcing[lo : end + 1]))
+        y = integrate_wave_system(lambda _: next(coeffs), t0, t, 1, y0)[-1]
+        corr.append(_unit_axes(_take(kin.frame, end), y[0], y[2], zeta_star[end])[2])
+    plus_half, minus_half, plus, minus = corr
 
-    def corr_after_step(t: float) -> np.ndarray:
-        y = integrate_wave_system(coeff_fn, cfg.t0, t, 1, y0)[-1]
-        frame = kinematics_at(t, s, c, cfg).frame
-        return _unit_axes(frame, y[0], y[2], phi_eval(t, s, c, cfg).ds)[2]
-
-    def central(h: float) -> np.ndarray:
-        return (corr_after_step(cfg.t0 + h) - corr_after_step(cfg.t0 - h)) / (2.0 * h)
-
-    h = cfg.fd_step
-    rate = (4.0 * central(h / 2.0) - central(h)) / 3.0
+    rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
     return np.where(feasible, rate, np.nan)
 
 
 def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """Solve alignment, integrate the wave system, correlate the axes.
 
-    Per-column infeasibility (no initial alignment at t0 or at a rate
-    stencil point) is recorded in ``feasible`` and produces NaN
+    One Phi and frame evaluation covers the grid: the rate-stencil times
+    t0 +- fd_step, then the RK4 abscissae, whose even rows are the time
+    nodes.  Per-column infeasibility (no initial alignment at t0 or at a
+    rate stencil point) is recorded in ``feasible`` and produces NaN
     correlations, not an error.
     """
-    s = cfg.s_grid
-    init, feasible = aligned_initial_state(c, cfg)
-    states, node_kins = integrate_alpha(c, cfg, init)
+    h = cfg.fd_step
+    times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
+    kin, zeta_star = _evaluate_grid(times, c, cfg)
+    init, feasible = _aligned_start(kin.frame, zeta_star, cfg, rows=[0, 2, 1])
+    ratio, forcing = _wave_coeffs(kin)
+    states = _integrate(ratio[2:], forcing[2:], init, cfg)
 
-    n_nodes = cfg.n_time + 1
-    zeta_hat = np.empty((n_nodes, cfg.n_s, 3))
-    zeta_star_hat = np.empty((n_nodes, cfg.n_s, 3))
-    corr = np.empty((n_nodes, cfg.n_s))
-    for i, (t, state, kin) in enumerate(zip(cfg.t_grid, states, node_kins)):
-        zs = phi_eval(t, s, c, cfg).ds
-        zeta_hat[i], zeta_star_hat[i], corr[i] = _unit_axes(kin.frame, state.alpha1, state.alpha2, zs)
-
+    nodes = slice(2, None, 2)
+    alpha1 = np.stack([state.alpha1 for state in states])
+    alpha2 = np.stack([state.alpha2 for state in states])
+    zeta_hat, zeta_star_hat, corr = _unit_axes(
+        _take(kin.frame, nodes), alpha1, alpha2, zeta_star[nodes]
+    )
     corr = np.where(feasible[None, :], np.clip(corr, -1.0, 1.0), np.nan)
     return AxisField(
         t_nodes=cfg.t_grid,
-        s_grid=s,
+        s_grid=cfg.s_grid,
         zeta_hat=zeta_hat,
         zeta_star_hat=zeta_star_hat,
         corr=corr,

@@ -21,7 +21,7 @@ from vortexlab.optimizer import (
     run_study,
     sample_qmc,
 )
-from vortexlab.ring_model import CoefficientTensor, RingConfig
+from vortexlab.ring_model import CoefficientTensor, RingConfig, kinematics_at, transport_gamma
 from vortexlab.wave_dynamics import axis_field
 
 DESK = RingConfig(J=4, K=6, n_s=64, n_time=32)
@@ -226,6 +226,78 @@ def test_zero_speed_trial_is_infeasible_not_fatal(monkeypatch, tiny_ring):
     monkeypatch.setattr(optimizer, "axis_field", exploding_field)
     score, value, fraction = evaluate_tensor(CoefficientTensor.zeros(2, 2), tiny_ring)
     assert (score, value, fraction) == (0.0, 0.0, 0.0)
+
+
+def test_zero_speed_at_rk4_midpoint_only_is_infeasible(tiny_ring):
+    ring = tiny_ring
+    h = (ring.t1 - ring.t0) / ring.n_time
+    # abscissae as integrate_wave_system forms them: t0 + i h, then + h/2 or + h
+    midpoints = np.array([ring.t0 + i * h + 0.5 * h for i in range(ring.n_time)])
+    others = np.array(
+        [ring.t0 - ring.fd_step, ring.t0, ring.t0 + ring.fd_step]
+        + [ring.t0 + i * h + h for i in range(ring.n_time)]
+    )
+    c = np.zeros((2, 2, ring.J + 1, ring.K + 1))
+    # gamma1_t = c / (K + 1) nearly cancels the transport velocity at the fourth midpoint
+    c[0, 1, 0, 0] = -0.999 * (ring.K + 1) * transport_gamma(midpoints[3])[1]
+    tensor = CoefficientTensor(c)
+    v_mid = kinematics_at(midpoints, ring.s_grid, tensor, ring).v
+    v_other = kinematics_at(others, ring.s_grid, tensor, ring).v
+    eps_v = float(v_mid.min())
+    assert eps_v < float(v_other.min())
+    assert evaluate_tensor(tensor, ring)[0] > 0.0
+    assert evaluate_tensor(tensor, dataclasses.replace(ring, eps_v=eps_v)) == (0.0, 0.0, 0.0)
+
+
+def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp_path):
+    built = []
+    sobol = optimizer.qmc.Sobol
+
+    def counting_sobol(*args, **kwargs):
+        built.append(kwargs)
+        return sobol(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer.qmc, "Sobol", counting_sobol)
+    study = StudyConfig(n_qmc=7, n_refine=1, seed=4, parallel_width=3)
+    space = SearchSpace.from_ring_config(tiny_ring)
+    run_study(study, tiny_ring, tmp_path / "full.jsonl")
+    assert len(built) == 1
+    # killed after 4 trials, inside the second width-3 batch
+    run_study(study, tiny_ring, tmp_path / "part.jsonl", limit=4)
+    assert len(built) == 2
+    result = run_study(study, tiny_ring, tmp_path / "part.jsonl")
+    assert len(built) == 3
+    monkeypatch.undo()
+    expected = sample_qmc(space, 4, seed=4) + sample_qmc(space, 3, seed=4, skip=4)
+    logged = [rec.coeffs for rec in result.history if rec.phase == "qmc"]
+    assert len(logged) == len(expected) == 7
+    for coeffs, tensor in zip(logged, expected):
+        assert coeffs == [float(x) for x in tensor.flatten()]
+    # a study past its QMC phase never builds the sampler
+    monkeypatch.setattr(optimizer.qmc, "Sobol", counting_sobol)
+    run_study(dataclasses.replace(study, n_refine=2), tiny_ring, tmp_path / "part.jsonl")
+    assert len(built) == 3
+
+
+def test_resume_drops_torn_final_record_at_every_offset(tiny_ring, tmp_path):
+    ring = dataclasses.replace(tiny_ring, J=1, K=1, n_s=8, n_time=4)
+    study = StudyConfig(n_qmc=3, n_refine=1, seed=8)
+    full = tmp_path / "full.jsonl"
+    run_study(study, ring, full)
+    lines = full.read_bytes().splitlines(keepends=True)
+    prefix, last = b"".join(lines[:2]), lines[2]
+    log = tmp_path / "torn.jsonl"
+    # every cut of the third record, from nothing written to all but its newline
+    for cut in range(len(last)):
+        log.write_bytes(prefix + last[:cut])
+        result = run_study(study, ring, log)
+        assert log.read_bytes() == full.read_bytes(), cut
+        assert [rec.trial_id for rec in result.history] == [0, 1, 2, 3]
+    # a terminated bad line is never dropped
+    log.write_bytes(prefix + last[: len(last) // 2] + b"\n")
+    with pytest.raises(CorruptTrialLog) as err:
+        run_study(study, ring, log)
+    assert err.value.line_no == 3
 
 
 def test_sigma_adaptation_one_fifth_rule(space):

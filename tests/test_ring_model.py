@@ -211,6 +211,30 @@ def test_kappa_t_is_independent_of_fd_step(desk_cfg):
         np.testing.assert_array_equal(a, b)
 
 
+def test_array_of_times_matches_per_time_calls(desk_cfg):
+    c = random_tensor(np.random.default_rng(13), desk_cfg, scale=5.0)
+    times = np.array([desk_cfg.t0 - desk_cfg.fd_step, desk_cfg.t0, 0.03, desk_cfg.t1])
+    s = desk_cfg.s_grid
+    grid = phi_eval(times, s, c, desk_cfg)
+    kin = kinematics_at(times, s, c, desk_cfg)
+    assert grid.position.shape == (len(times), len(s), 3)
+    assert kin.v.shape == (len(times), len(s))
+    for i, t in enumerate(times):
+        point = phi_eval(t, s, c, desk_cfg)
+        for name in ("position", "d1", "d2", "d3", "ds"):
+            np.testing.assert_allclose(
+                getattr(grid, name)[i], getattr(point, name), rtol=1e-13, atol=1e-12
+            )
+        one = kinematics_at(t, s, c, desk_cfg)
+        for name in ("v", "v_t", "v_tt", "kappa", "kappa_t", "torsion"):
+            np.testing.assert_allclose(getattr(kin, name)[i], getattr(one, name), rtol=1e-12, atol=1e-10)
+        np.testing.assert_allclose(kin.frame.tau[i], one.frame.tau, rtol=1e-13, atol=1e-14)
+        np.testing.assert_allclose(kin.frame.n[i], one.frame.n, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(kin.degenerate[i], one.degenerate)
+    # a scalar s with an array of times gives one point per time
+    assert phi_eval(times, 0.3, c, desk_cfg).d1.shape == (len(times), 3)
+
+
 def test_coefficient_tensor_shape_and_bounds():
     with pytest.raises(ValueError):
         CoefficientTensor(np.zeros((2, 3, 4, 5)))

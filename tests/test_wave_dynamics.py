@@ -67,13 +67,14 @@ def test_initial_rates_zero_for_stationary_alignment(monkeypatch):
     cfg = RingConfig(J=2, K=2, n_s=8)
     c = CoefficientTensor.zeros(2, 2)
 
-    def frozen_alignment(t, s, cc, cfgg):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return 0.7 * np.ones_like(s), -0.2 * np.ones_like(s), np.ones_like(s, dtype=bool)
+    def frozen_alignment(frame, zeta_star, eps_align=1e-6):
+        shape = zeta_star.shape[:-1]  # (t0 - h, t0, t0 + h) x s-grid
+        return np.full(shape, 0.7), np.full(shape, -0.2), np.ones(shape, dtype=bool)
 
-    monkeypatch.setattr(wave_dynamics, "_alignment_at_time", frozen_alignment)
+    monkeypatch.setattr(wave_dynamics, "solve_initial_alignment", frozen_alignment)
     init, feasible = aligned_initial_state(c, cfg)
     assert np.all(feasible)
+    np.testing.assert_allclose(init.alpha1, 0.7)
     np.testing.assert_allclose(init.alpha1_t, 0.0, atol=1e-15)
     np.testing.assert_allclose(init.alpha2_t, 0.0, atol=1e-15)
 
