@@ -147,18 +147,24 @@ def _write_manifest(out_dir: Path, command: str, ring, study, seed, outputs) -> 
 
 
 def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None:
+    """One row per (t, s) node, time-major; floats written by ``repr`` (round-trip exact)."""
+    n_t, n_s = field.corr.shape
+    columns = np.concatenate(
+        [
+            np.repeat(field.t_nodes, n_s)[:, None],
+            np.tile(field.s_grid, n_t)[:, None],
+            positions.reshape(-1, 3),
+            field.zeta_star_hat.reshape(-1, 3),
+            field.zeta_hat.reshape(-1, 3),
+            field.corr.reshape(-1, 1),
+        ],
+        axis=1,
+    )
+    feasible = np.tile(field.feasible.astype(int), n_t).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(GRID_HEADER)
-        for i, t in enumerate(field.t_nodes):
-            for j, s in enumerate(field.s_grid):
-                writer.writerow(
-                    [repr(float(t)), repr(float(s))]
-                    + [repr(float(x)) for x in positions[i, j]]
-                    + [repr(float(x)) for x in field.zeta_star_hat[i, j]]
-                    + [repr(float(x)) for x in field.zeta_hat[i, j]]
-                    + [repr(float(field.corr[i, j])), int(field.feasible[j])]
-                )
+        writer.writerows([*map(repr, row), flag] for row, flag in zip(columns.tolist(), feasible))
 
 
 def cmd_simulate(args) -> int:

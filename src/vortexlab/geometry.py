@@ -5,9 +5,12 @@ Everything here is a pure function of the first three time derivatives
 point.  The module never differentiates anything numerically itself; closed
 form derivatives are supplied by the caller (see :mod:`vortexlab.ring_model`).
 
-All vector arguments are numpy arrays with a trailing axis of length 3.  A
-single point is a shape ``(3,)`` array; a batch of N points is ``(N, 3)``.
-Scalar outputs follow the leading shape of the inputs.
+:func:`frame_from_derivatives` is the generic routine: its vector arguments
+are numpy arrays with a trailing axis of length 3 (a single point is a shape
+``(3,)`` array, a batch of N points ``(N, 3)``), and scalar outputs follow the
+leading shape of the inputs.  ``_meridional_kinematics`` computes the same
+quantities from scalar components for trajectories that stay in one
+meridional half-plane, as the ring's transport trajectories do.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import numpy as np
 __all__ = [
     "ZeroSpeed",
     "FrenetFrame",
+    "MeridionalFrame",
     "TrajectoryKinematics",
     "frame_from_derivatives",
     "arc_reparam_factor",
@@ -53,6 +57,42 @@ class FrenetFrame:
 
 
 @dataclass(frozen=True)
+class MeridionalFrame:
+    """Frenet frame of a trajectory that stays in its meridional half-plane.
+
+    Components refer to the cylindrical basis (e_r, e_theta, e_z) at the
+    point: ``tau = tau_r e_r + tau_z e_z``.  With the in-plane normal
+    ``m = -tau_z e_r + tau_r e_z`` and ``w = -e_theta`` the triple
+    (tau, m, w) is right-handed, and ``n = n_m m + n_w w``,
+    ``b = tau x n = -n_w m + n_m w``.
+    """
+
+    tau_r: np.ndarray
+    tau_z: np.ndarray
+    n_m: np.ndarray
+    n_w: np.ndarray
+
+    def coords(self, r, theta, z) -> tuple:
+        """Components along (tau, n, b) of the vector r e_r + theta e_theta + z e_z."""
+        along_m = self.tau_r * z - self.tau_z * r
+        return (
+            self.tau_r * r + self.tau_z * z,
+            self.n_m * along_m - self.n_w * theta,
+            -self.n_w * along_m - self.n_m * theta,
+        )
+
+    def vector(self, along_tau, along_n, along_b) -> tuple:
+        """(e_r, e_theta, e_z) components of along_tau tau + along_n n + along_b b."""
+        along_m = self.n_m * along_n - self.n_w * along_b
+        along_w = self.n_w * along_n + self.n_m * along_b
+        return (
+            self.tau_r * along_tau - self.tau_z * along_m,
+            -along_w,
+            self.tau_z * along_tau + self.tau_r * along_m,
+        )
+
+
+@dataclass(frozen=True)
 class TrajectoryKinematics:
     """Speed, curvature, torsion and moving frame at one trajectory point.
 
@@ -60,7 +100,8 @@ class TrajectoryKinematics:
     derivatives, ``kappa_t`` the time derivative of curvature.
     ``degenerate`` flags points where curvature fell below the frame
     threshold; there the normal comes from the fallback convention and
-    torsion is 0.
+    torsion is 0.  ``frame`` is a Cartesian :class:`FrenetFrame`, or a
+    :class:`MeridionalFrame` straight from ``_meridional_kinematics``.
     """
 
     v: float | np.ndarray
@@ -69,7 +110,7 @@ class TrajectoryKinematics:
     kappa: float | np.ndarray
     kappa_t: float | np.ndarray
     torsion: float | np.ndarray
-    frame: FrenetFrame
+    frame: FrenetFrame | MeridionalFrame
     degenerate: bool | np.ndarray
 
 
@@ -164,6 +205,83 @@ def frame_from_derivatives(
         kappa_t=kappa_t,
         torsion=torsion,
         frame=FrenetFrame(tau=tau, n=n, b=b),
+        degenerate=degenerate,
+    )
+
+
+def _meridional_kinematics(
+    a,
+    b,
+    azimuth,
+    eps_kappa: float = DEFAULT_EPS_KAPPA,
+    eps_v: float = DEFAULT_EPS_V,
+) -> TrajectoryKinematics:
+    """:func:`frame_from_derivatives` for a trajectory in its meridional half-plane.
+
+    ``a[k - 1]`` and ``b[k - 1]`` (k = 1, 2, 3) are the e_r and e_z
+    components of the k-th time derivative of the position; ``azimuth`` is
+    the angle of e_r from the x axis.  With ``W = a1 b2 - b1 a2``,
+    ``d1 x d2 = -W e_theta``, so
+
+        v       = hypot(a1, b1)
+        kappa   = |W| / v^3
+        kappa'  = sign(W) (a1 b3 - a3 b1) / v^3 - 3 kappa v' / v
+
+    and torsion is exactly 0.  Regular points have ``n = sign(W) m``,
+    ``b = -sign(W) e_theta`` (m as in :class:`MeridionalFrame`).  Where
+    kappa < eps_kappa the fallback of :func:`frame_from_derivatives` applies
+    unchanged: ``n = unit(z_hat x tau) = sign(a1) e_theta``, or
+    ``unit(x_hat x tau)`` with ``x_hat = cos(azimuth) e_r - sin(azimuth)
+    e_theta`` where tau is nearly vertical.  The frame is returned as a
+    :class:`MeridionalFrame`.
+
+    Raises
+    ------
+    ZeroSpeed
+        If any point has v <= eps_v.
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    v = np.hypot(a1, b1)
+    if np.any(v <= eps_v):
+        raise ZeroSpeed(f"|d1| <= {eps_v}; stationary trajectory point")
+
+    v_t = (a1 * a2 + b1 * b2) / v
+    v_tt = (a2 * a2 + b2 * b2 + a1 * a3 + b1 * b3 - v_t**2) / v
+    w = a1 * b2 - b1 * a2
+    v3 = v**3
+    kappa = np.abs(w) / v3
+    sign_w = np.sign(w)
+    kappa_t = sign_w * (a1 * b3 - a3 * b1) / v3 - 3.0 * kappa * v_t / v
+    degenerate = kappa < eps_kappa
+
+    tau_r, tau_z = a1 / v, b1 / v
+    # sign(a1) e_theta = -sign(a1) w on degenerate points
+    n_m = np.where(degenerate, 0.0, sign_w)
+    n_w = np.where(degenerate, -np.sign(a1), 0.0)
+    vertical = degenerate & (np.abs(tau_r) < _FALLBACK_EPS)
+    if np.any(vertical):
+        # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
+        along_m = np.broadcast_to(np.sin(azimuth), v.shape)
+        along_w = np.cos(azimuth) * tau_z
+        norm = np.hypot(along_m, along_w)
+        n_m = np.where(vertical, along_m / norm, n_m)
+        n_w = np.where(vertical, along_w / norm, n_w)
+    torsion = np.zeros_like(v)
+
+    if v.ndim == 0:
+        v, v_t, v_tt = float(v), float(v_t), float(v_tt)
+        kappa, kappa_t, torsion = float(kappa), float(kappa_t), float(torsion)
+        degenerate = bool(degenerate)
+
+    return TrajectoryKinematics(
+        v=v,
+        v_t=v_t,
+        v_tt=v_tt,
+        kappa=kappa,
+        kappa_t=kappa_t,
+        torsion=torsion,
+        frame=MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w),
         degenerate=degenerate,
     )
 

@@ -12,19 +12,32 @@ derivatives up to third order, plus the angular derivative, are evaluated in
 closed form, and so is every trajectory quantity built from them (see
 :func:`kinematics_at`).
 
+The transport moves every point within its meridional half-plane
+span{e_r(s), e_z}, so Phi and its time derivatives are carried as two scalar
+components, the trajectory torsion is 0 and the binormal is +-e_theta (or
+the fallback of :func:`vortexlab.geometry.frame_from_derivatives` on
+straight stretches).  Cartesian vectors are formed only where asked for.
+
 ``t`` and ``s`` arguments may be scalars or 1-d arrays; outputs have shape
 ``t.shape + s.shape`` and vector outputs carry a trailing axis of length 3.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import TrajectoryKinematics, frame_from_derivatives
+# frame_from_derivatives stays a module attribute: perfbench/tracer.py patches it here
+from .geometry import (  # noqa: F401
+    FrenetFrame,
+    TrajectoryKinematics,
+    _meridional_kinematics,
+    frame_from_derivatives,
+)
 
 __all__ = [
     "RingConfig",
@@ -37,6 +50,8 @@ __all__ = [
     "deformation_eval",
     "phi_eval",
     "kinematics_at",
+    "embed",
+    "embed_kinematics",
 ]
 
 
@@ -162,21 +177,90 @@ class CoefficientTensor:
         return cls.from_json_dict(json.loads(Path(path).read_text()))
 
 
+def _azimuth(s) -> np.ndarray:
+    """Angle 2 pi s of e_r(s) from the x axis."""
+    return 2.0 * np.pi * np.asarray(s, dtype=float)
+
+
+def embed(components, s) -> np.ndarray:
+    """Cartesian vector r e_r(s) + theta e_theta(s) + z e_z from ``(r, theta, z)``.
+
+    e_r(s) = (cos 2 pi s, sin 2 pi s, 0); the result has a trailing axis of 3.
+    """
+    r, theta, z = np.broadcast_arrays(*components)
+    angle = _azimuth(s)
+    cos_s, sin_s = np.cos(angle), np.sin(angle)
+    out = np.empty(np.broadcast_shapes(r.shape, angle.shape) + (3,))
+    out[..., 0] = r * cos_s - theta * sin_s
+    out[..., 1] = r * sin_s + theta * cos_s
+    out[..., 2] = z
+    return out
+
+
+def embed_kinematics(kin: TrajectoryKinematics, s) -> TrajectoryKinematics:
+    """``kin`` with its MeridionalFrame replaced by the Cartesian FrenetFrame at s."""
+    axes = [embed(kin.frame.vector(*unit), s) for unit in np.eye(3)]
+    return dataclasses.replace(kin, frame=FrenetFrame(*axes))
+
+
 @dataclass(frozen=True)
 class RingPoint:
-    """Position and derivatives of Phi on a (t, s) grid (either axis may be scalar)."""
+    """Phi and its derivatives on a (t, s) grid (either axis may be scalar).
 
-    position: np.ndarray
-    d1: np.ndarray
-    d2: np.ndarray
-    d3: np.ndarray
-    ds: np.ndarray
+    ``radial[k]`` and ``vertical[k]`` are the e_r(s) and e_z components of
+    the k-th time derivative of Phi (k = 0..3); ``radial_s`` and
+    ``vertical_s`` are those of dPhi/ds, whose e_theta component is
+    ``2 pi radial[0]``.  ``position``, ``d1``-``d3`` and ``ds`` are the
+    Cartesian vectors, formed on access.
+    """
+
+    s: np.ndarray
+    radial: np.ndarray
+    vertical: np.ndarray
+    radial_s: np.ndarray
+    vertical_s: np.ndarray
+
+    def _time_derivative(self, k: int) -> np.ndarray:
+        return embed((self.radial[k], 0.0, self.vertical[k]), self.s)
+
+    @property
+    def position(self) -> np.ndarray:
+        return self._time_derivative(0)
+
+    @property
+    def d1(self) -> np.ndarray:
+        return self._time_derivative(1)
+
+    @property
+    def d2(self) -> np.ndarray:
+        return self._time_derivative(2)
+
+    @property
+    def d3(self) -> np.ndarray:
+        return self._time_derivative(3)
+
+    @property
+    def ds_components(self) -> tuple:
+        """(e_r, e_theta, e_z) components of the ring tangent dPhi/ds."""
+        return self.radial_s, 2.0 * np.pi * self.radial[0], self.vertical_s
+
+    @property
+    def ds(self) -> np.ndarray:
+        return embed(self.ds_components, self.s)
+
+    def meridional_kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
+        """Trajectory kinematics with the frame in meridional components."""
+        return _meridional_kinematics(
+            self.radial[1:],
+            self.vertical[1:],
+            _azimuth(self.s),
+            eps_kappa=cfg.eps_kappa,
+            eps_v=cfg.eps_v,
+        )
 
     def kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
         """Trajectory kinematics at these points (see :func:`kinematics_at`)."""
-        return frame_from_derivatives(
-            self.d1, self.d2, self.d3, eps_kappa=cfg.eps_kappa, eps_v=cfg.eps_v
-        )
+        return embed_kinematics(self.meridional_kinematics(cfg), self.s)
 
 
 @dataclass(frozen=True)
@@ -295,44 +379,31 @@ def deformation_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> Deformation
 def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
     """Ring position and its closed-form t-derivatives (1-3) and s-derivative.
 
-    ``t`` is a scalar or a 1-d array of times; every field has shape
-    ``t.shape + s.shape + (3,)``.
+    ``t`` is a scalar or a 1-d array of times; every component has shape
+    ``t.shape + s.shape`` (Cartesian vectors add a trailing axis of 3).
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    two_pi_s = 2.0 * np.pi * s
-    cos_s, sin_s = np.cos(two_pi_s), np.sin(two_pi_s)
-    zeros = np.zeros_like(s)
-    e_r = np.stack([cos_s, sin_s, zeros], axis=-1)
-    de_r = 2.0 * np.pi * np.stack([-sin_s, cos_s, zeros], axis=-1)
-
     r = radius_profile(s, cfg.delta, cfg.angle_convention)
     r_s = radius_profile_deriv(s, cfg.delta, cfg.angle_convention)
     # time profiles broadcast against the s axes
     g, g1, g2, g3 = transport_gamma(t.reshape(t.shape + (1,) * s.ndim))
     d = deformation_eval(t, s, c, cfg)
-
-    radial = r + g + d.g1
-
-    def vec(radial_part, vertical_part):
-        out = radial_part[..., None] * e_r
-        out[..., 2] = vertical_part
-        return out
-
-    position = vec(radial, d.g2)
-    d1 = vec(g1 + d.g1_t, d.g2_t)
-    d2 = vec(g2 + d.g1_tt, d.g2_tt)
-    d3 = vec(g3 + d.g1_ttt, d.g2_ttt)
-    ds = (r_s + d.g1_s)[..., None] * e_r + radial[..., None] * de_r
-    ds[..., 2] = d.g2_s
-    return RingPoint(position=position, d1=d1, d2=d2, d3=d3, ds=ds)
+    return RingPoint(
+        s=s,
+        radial=np.stack([r + g + d.g1, g1 + d.g1_t, g2 + d.g1_tt, g3 + d.g1_ttt]),
+        vertical=np.stack([d.g2, d.g2_t, d.g2_tt, d.g2_ttt]),
+        radial_s=r_s + d.g1_s,
+        vertical_s=d.g2_s,
+    )
 
 
 def kinematics_at(t, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKinematics:
     """Full kinematics of the transport trajectories through (t, s), all closed form.
 
-    ``t`` is a scalar or a 1-d array of times (see :func:`phi_eval`).  Raises
-    ZeroSpeed (from :func:`frame_from_derivatives`) when the trajectory speed
-    vanishes at any point; callers treat that as an infeasible trial.
+    ``t`` is a scalar or a 1-d array of times (see :func:`phi_eval`).  The
+    torsion is exactly 0 and the frame is Cartesian.  Raises ZeroSpeed when
+    the trajectory speed vanishes at any point; callers treat that as an
+    infeasible trial.
     """
     return phi_eval(t, s, c, cfg).kinematics(cfg)

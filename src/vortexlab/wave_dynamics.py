@@ -12,6 +12,12 @@ vortex axis.  Initial data are chosen so the two unit axes start perfectly
 aligned with vanishing alignment rate; columns where that is impossible
 (zeta* has no positive tangent component) are flagged infeasible and carry
 NaN correlations.
+
+The trajectories stay in their meridional half-planes, so the grid path
+works on scalar components: the kinematics and frame come from
+``RingPoint.meridional_kinematics`` and zeta* enters only through its
+components (a, b, c) along (tau, n, b).  Cartesian axes are formed only for
+the time nodes of :class:`AxisField` and :func:`integrate_alpha`.
 """
 
 from __future__ import annotations
@@ -23,7 +29,14 @@ import numpy as np
 
 from .geometry import FrenetFrame, TrajectoryKinematics
 # kinematics_at stays a module attribute: perfbench/tracer.py patches it here
-from .ring_model import CoefficientTensor, RingConfig, kinematics_at, phi_eval  # noqa: F401
+from .ring_model import (  # noqa: F401
+    CoefficientTensor,
+    RingConfig,
+    embed,
+    embed_kinematics,
+    kinematics_at,
+    phi_eval,
+)
 
 __all__ = [
     "AlphaState",
@@ -34,6 +47,7 @@ __all__ = [
     "integrate_wave_system",
     "integrate_alpha",
     "axis_field",
+    "wave_coefficients",
 ]
 
 
@@ -72,6 +86,15 @@ def _unit(vec: np.ndarray) -> np.ndarray:
     return np.where(norm[..., None] > 0.0, out, np.nan)
 
 
+def _alignment(a, b, c, eps_align: float):
+    """(alpha1, alpha2, feasible) from the unit ring tangent's frame components."""
+    feasible = a > eps_align
+    a_safe = np.where(feasible, a, 1.0)
+    alpha1 = np.where(feasible, -b / a_safe, np.nan)
+    alpha2 = np.where(feasible, -c / a_safe, np.nan)
+    return alpha1, alpha2, feasible
+
+
 def solve_initial_alignment(frame: FrenetFrame, zeta_star: np.ndarray, eps_align: float = 1e-6):
     """(alpha1, alpha2, feasible) making the unit axes coincide, per point.
 
@@ -80,16 +103,11 @@ def solve_initial_alignment(frame: FrenetFrame, zeta_star: np.ndarray, eps_align
     tangent exactly when alpha1 = -b/a, alpha2 = -c/a and a > 0.  Points
     where a is not above ``eps_align`` are infeasible (the swirl axis always
     has unit tau-component, so no solution with dot +1 exists) and carry NaN.
+    The grid path applies the same rule to components it already has.
     """
     zs = _unit(np.asarray(zeta_star, dtype=float))
-    a = np.sum(zs * frame.tau, axis=-1)
-    b = np.sum(zs * frame.n, axis=-1)
-    c = np.sum(zs * frame.b, axis=-1)
-    feasible = a > eps_align
-    a_safe = np.where(feasible, a, 1.0)
-    alpha1 = np.where(feasible, -b / a_safe, np.nan)
-    alpha2 = np.where(feasible, -c / a_safe, np.nan)
-    return alpha1, alpha2, feasible
+    a, b, c = (np.sum(zs * axis, axis=-1) for axis in (frame.tau, frame.n, frame.b))
+    return _alignment(a, b, c, eps_align)
 
 
 def _rk4_abscissae(t0: float, t1: float, n_steps: int) -> np.ndarray:
@@ -149,19 +167,26 @@ def integrate_wave_system(
     return states
 
 
-def _wave_coeffs(kin: TrajectoryKinematics):
+def wave_coefficients(kin: TrajectoryKinematics) -> tuple:
+    """(ratio, forcing) = (v''/v, 2 v kappa' + 4 v' kappa) of the wave equations."""
     ratio = kin.v_tt / kin.v
     forcing = 2.0 * kin.v * kin.kappa_t + 4.0 * kin.v_t * kin.kappa
     return ratio, forcing
 
 
 def _evaluate_grid(times: np.ndarray, c: CoefficientTensor, cfg: RingConfig):
-    """(kinematics, ring tangent dPhi/ds) on times x s-grid from one Phi evaluation.
+    """(meridional kinematics, unit ring tangent) on times x s-grid from one Phi evaluation.
 
-    ZeroSpeed anywhere on the grid propagates (infeasible trial).
+    The ring tangent is given by its components (a, b, c) along (tau, n, b);
+    they are NaN where dPhi/ds vanishes.  ZeroSpeed anywhere on the grid
+    propagates (infeasible trial).
     """
     p = phi_eval(times, cfg.s_grid, c, cfg)
-    return p.kinematics(cfg), p.ds
+    kin = p.meridional_kinematics(cfg)
+    r, theta, z = p.ds_components
+    norm = np.sqrt(r * r + theta * theta + z * z)
+    norm = np.where(norm > 0.0, norm, np.nan)
+    return kin, tuple(x / norm for x in kin.frame.coords(r, theta, z))
 
 
 def _take(rows, idx):
@@ -172,14 +197,15 @@ def _take(rows, idx):
     )
 
 
-def _aligned_start(frame: FrenetFrame, zeta_star: np.ndarray, cfg: RingConfig, rows):
+def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
     """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
 
-    The rates are central differences of the alignment over h = fd_step; a
-    column is feasible where it aligns at all three times, and infeasible
-    columns carry NaN.
+    ``tangent`` holds the unit ring tangent's frame components.  The rates
+    are central differences of the alignment over h = fd_step; a column is
+    feasible where it aligns at all three times, and infeasible columns
+    carry NaN.
     """
-    a1, a2, aligned = solve_initial_alignment(_take(frame, rows), zeta_star[rows], cfg.eps_align)
+    a1, a2, aligned = _alignment(*(x[rows] for x in tangent), cfg.eps_align)
     feasible = np.all(aligned, axis=0)
     h = cfg.fd_step
     init = AlphaState(
@@ -213,8 +239,9 @@ def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> 
     kinematics propagates (infeasible trial).
     """
     kin, _ = _evaluate_grid(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), c, cfg)
-    states = _integrate(*_wave_coeffs(kin), init, cfg)
-    return states, [_take(kin, i) for i in range(0, 2 * cfg.n_time + 1, 2)]
+    states = _integrate(*wave_coefficients(kin), init, cfg)
+    nodes = range(0, 2 * cfg.n_time + 1, 2)
+    return states, [embed_kinematics(_take(kin, i), cfg.s_grid) for i in nodes]
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
@@ -223,15 +250,19 @@ def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
     Infeasible columns (at t0 or at either rate-stencil point) carry NaN.
     """
     h = cfg.fd_step
-    kin, zeta_star = _evaluate_grid(np.array([cfg.t0 - h, cfg.t0, cfg.t0 + h]), c, cfg)
-    return _aligned_start(kin.frame, zeta_star, cfg, rows=slice(0, 3))
+    _, tangent = _evaluate_grid(np.array([cfg.t0 - h, cfg.t0, cfg.t0 + h]), c, cfg)
+    return _aligned_start(tangent, cfg, rows=slice(0, 3))
 
 
-def _unit_axes(frame: FrenetFrame, alpha1: np.ndarray, alpha2: np.ndarray, zeta_star: np.ndarray):
-    """(unit swirl axis, unit ring tangent, their correlation) per grid point."""
-    zeta = frame.tau - alpha1[..., None] * frame.n - alpha2[..., None] * frame.b
-    zeta_hat, zeta_star_hat = _unit(zeta), _unit(zeta_star)
-    return zeta_hat, zeta_star_hat, np.sum(zeta_hat * zeta_star_hat, axis=-1)
+def _swirl_axis(alpha1: np.ndarray, alpha2: np.ndarray) -> tuple:
+    """Components along (tau, n, b) of the unit swirl axis, |(1, -alpha1, -alpha2)| = 1."""
+    norm = np.sqrt(1.0 + alpha1 * alpha1 + alpha2 * alpha2)
+    return 1.0 / norm, -alpha1 / norm, -alpha2 / norm
+
+
+def _correlation(swirl: tuple, tangent: tuple) -> np.ndarray:
+    """Dot product of two unit axes given by their frame components."""
+    return swirl[0] * tangent[0] + swirl[1] * tangent[1] + swirl[2] * tangent[2]
 
 
 def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
@@ -247,9 +278,9 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     targets = (t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h)
     # rows 0-2: the alignment stencil; then (t0, midpoint, end) of one RK4 step to each target
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
-    kin, zeta_star = _evaluate_grid(np.concatenate([[t0 - h, t0, t0 + h], *steps]), c, cfg)
-    init, feasible = _aligned_start(kin.frame, zeta_star, cfg, rows=slice(0, 3))
-    ratio, forcing = _wave_coeffs(kin)
+    kin, tangent = _evaluate_grid(np.concatenate([[t0 - h, t0, t0 + h], *steps]), c, cfg)
+    init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
+    ratio, forcing = wave_coefficients(kin)
     y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
 
     corr = []
@@ -257,7 +288,7 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
         lo, end = 3 + 3 * i, 5 + 3 * i
         coeffs = iter(zip(ratio[lo : end + 1], forcing[lo : end + 1]))
         y = integrate_wave_system(lambda _: next(coeffs), t0, t, 1, y0)[-1]
-        corr.append(_unit_axes(_take(kin.frame, end), y[0], y[2], zeta_star[end])[2])
+        corr.append(_correlation(_swirl_axis(y[0], y[2]), [x[end] for x in tangent]))
     plus_half, minus_half, plus, minus = corr
 
     rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
@@ -275,23 +306,23 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """
     h = cfg.fd_step
     times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
-    kin, zeta_star = _evaluate_grid(times, c, cfg)
-    init, feasible = _aligned_start(kin.frame, zeta_star, cfg, rows=[0, 2, 1])
-    ratio, forcing = _wave_coeffs(kin)
+    kin, tangent = _evaluate_grid(times, c, cfg)
+    init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
+    ratio, forcing = wave_coefficients(kin)
     states = _integrate(ratio[2:], forcing[2:], init, cfg)
 
     nodes = slice(2, None, 2)
-    alpha1 = np.stack([state.alpha1 for state in states])
-    alpha2 = np.stack([state.alpha2 for state in states])
-    zeta_hat, zeta_star_hat, corr = _unit_axes(
-        _take(kin.frame, nodes), alpha1, alpha2, zeta_star[nodes]
+    frame = _take(kin.frame, nodes)
+    tangent = [x[nodes] for x in tangent]
+    swirl = _swirl_axis(
+        np.stack([state.alpha1 for state in states]), np.stack([state.alpha2 for state in states])
     )
-    corr = np.where(feasible[None, :], np.clip(corr, -1.0, 1.0), np.nan)
+    corr = np.where(feasible[None, :], np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
     return AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
-        zeta_hat=zeta_hat,
-        zeta_star_hat=zeta_star_hat,
+        zeta_hat=embed(frame.vector(*swirl), cfg.s_grid),
+        zeta_star_hat=embed(frame.vector(*tangent), cfg.s_grid),
         corr=corr,
         feasible=feasible,
     )

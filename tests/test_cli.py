@@ -9,7 +9,8 @@ import vortexlab.cli as cli
 import vortexlab.verify as verify
 from vortexlab.cli import ConfigError, load_configs, main
 from vortexlab.optimizer import run_study
-from vortexlab.ring_model import CoefficientTensor
+from vortexlab.ring_model import CoefficientTensor, RingConfig, phi_eval
+from vortexlab.wave_dynamics import axis_field
 
 DESK_CONFIG = """
 # desk-scale setup
@@ -351,3 +352,33 @@ def test_verify_detects_injected_sign_error(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
     monkeypatch.setattr(verify, "check_inverse_matrix", original)
     assert main(["verify"]) == 0
+
+
+def test_verify_detects_flipped_forcing_term(monkeypatch, capsys):
+    # the closure certificate evaluates the integrator's wave coefficients
+    def flipped(kin):
+        return kin.v_tt / kin.v, 2.0 * kin.v * kin.kappa_t - 4.0 * kin.v_t * kin.kappa
+
+    monkeypatch.setattr(verify, "wave_coefficients", flipped)
+    assert main(["verify"]) == 1
+    assert "closure_rearrangement" in [
+        line.split()[0] for line in capsys.readouterr().out.splitlines() if "FAIL" in line
+    ]
+
+
+def test_grid_csv_bytes_match_per_value_repr(tmp_path):
+    ring = RingConfig(J=2, K=2, n_s=16, n_time=8)
+    tensor = CoefficientTensor.from_flat(np.random.default_rng(4).uniform(-5, 5, 36), 2, 2)
+    field = axis_field(tensor, ring)
+    assert not field.feasible.all()  # NaN columns are written too
+    positions = phi_eval(field.t_nodes, ring.s_grid, tensor, ring).position
+    path = tmp_path / "grid.csv"
+    cli._write_grid_csv(path, field, positions)
+
+    lines = [",".join(cli.GRID_HEADER)]
+    for i, t in enumerate(field.t_nodes):
+        for j, s in enumerate(field.s_grid):
+            values = [t, s, *positions[i, j], *field.zeta_star_hat[i, j], *field.zeta_hat[i, j]]
+            values.append(field.corr[i, j])
+            lines.append(",".join([repr(float(x)) for x in values] + [str(int(field.feasible[j]))]))
+    assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()

@@ -3,9 +3,11 @@ import pytest
 
 from vortexlab.geometry import (
     ZeroSpeed,
+    _meridional_kinematics,
     arc_reparam_factor,
     frame_from_derivatives,
 )
+from vortexlab.ring_model import embed_kinematics
 
 from oracles import fd_curvature_torsion, richardson_time_derivative
 
@@ -218,3 +220,36 @@ def test_arc_reparam_factor():
     kin = frame_from_derivatives(np.array([0.0, 12 * np.pi, 0.0]), np.zeros(3), np.zeros(3))
     assert arc_reparam_factor(kin) == pytest.approx(1.0 / (12 * np.pi))
     assert arc_reparam_factor(kin) == pytest.approx(0.026526, abs=1e-6)
+
+
+def test_meridional_kernel_matches_generic_frame():
+    # random meridional components embedded at random angles: regular rows,
+    # then W = 0 rows (radial motion, d1 x d2 = 0), then vertical rows (x_hat fallback)
+    rng = np.random.default_rng(14)
+    n = 300
+    a, b = rng.standard_normal((2, 3, n))
+    b[:2, 100:200] = 0.0
+    a[:2, 200:] = 0.0
+    s = rng.uniform(0.0, 1.0, n)
+    azimuth = 2.0 * np.pi * s
+    e_r = np.stack([np.cos(azimuth), np.sin(azimuth), np.zeros(n)], axis=-1)
+    d1, d2, d3 = (a[k][:, None] * e_r + b[k][:, None] * np.array([0.0, 0.0, 1.0]) for k in range(3))
+
+    oracle = frame_from_derivatives(d1, d2, d3)
+    kin = _meridional_kinematics(a, b, azimuth)
+    np.testing.assert_array_equal(kin.degenerate, oracle.degenerate)
+    np.testing.assert_array_equal(kin.degenerate, np.arange(n) >= 100)
+    assert np.all(kin.torsion == 0.0)
+    # the inputs are O(1), so an absolute 1e-12 is relative to their scale
+    for name in ("v", "v_t", "v_tt", "kappa"):
+        np.testing.assert_allclose(getattr(kin, name), getattr(oracle, name), rtol=1e-12, atol=1e-12)
+    # kappa' relative to the size of its terms; where W = 0 the oracle's d1 x d2
+    # is rounding noise and its rate term reads that noise, the kernel's is exactly 0
+    scale = np.linalg.norm(d1, axis=-1) * np.linalg.norm(d3, axis=-1) / kin.v**3
+    assert np.all(np.abs(kin.kappa_t - oracle.kappa_t) <= 1e-12 * (scale + np.abs(kin.kappa_t)))
+    assert np.all(kin.kappa_t[100:] == 0.0)
+    frame = embed_kinematics(kin, s).frame
+    for name in ("tau", "n", "b"):
+        np.testing.assert_allclose(getattr(frame, name), getattr(oracle.frame, name), rtol=0, atol=1e-12)
+    # the vertical rows took the x_hat branch: n has an e_r component there
+    assert np.all(np.abs(kin.frame.n_m[200:]) > 0.0)

@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+import vortexlab.geometry as geometry
 import vortexlab.optimizer as optimizer
+import vortexlab.ring_model as ring_model
 from vortexlab.cli import load_configs
 from vortexlab.geometry import ZeroSpeed
 from vortexlab.optimizer import (
@@ -435,3 +437,27 @@ def test_run_study_structured_deterministic_and_resumable(monkeypatch, tiny_ring
         c = np.array(rec.coeffs).reshape(2, 2, tiny_ring.J + 1, tiny_ring.K + 1)
         np.testing.assert_array_equal(c[0, :, 0, :], ceiling.row)
     assert refine[0].feasible_fraction == ceiling.n_feasible / tiny_ring.n_s
+
+
+def test_evaluate_tensor_makes_no_cross_products(monkeypatch):
+    # the trial path runs on meridional components: no 3-D frame is built
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(np, "cross", counted("cross", np.cross))
+    for module in (geometry, ring_model):
+        fn = module.frame_from_derivatives
+        monkeypatch.setattr(module, "frame_from_derivatives", counted("frame", fn))
+    tensor = CoefficientTensor.from_flat(np.random.default_rng(8).uniform(-5, 5, 140), 4, 6)
+    score, _, fraction = evaluate_tensor(tensor, DESK)
+    assert fraction > 0.0 and score > 0.0
+    assert calls == []
+    # the counters do see the generic routine
+    ring_model.frame_from_derivatives(np.ones(3), np.arange(3.0), np.zeros(3))
+    assert calls[0] == "frame" and "cross" in calls

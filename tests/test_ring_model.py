@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from vortexlab.geometry import frame_from_derivatives
 from vortexlab.ring_model import (
     CoefficientTensor,
     RingConfig,
@@ -161,6 +162,25 @@ def test_kinematics_baseline_straight_rays():
     assert np.all(kin.degenerate)
     np.testing.assert_allclose(kin.v, 12 * np.pi, rtol=1e-12)
     np.testing.assert_allclose(kin.v_t, 0.0, atol=1e-9)
+
+
+def test_kinematics_at_matches_generic_frame_with_zero_torsion(desk_cfg):
+    c = random_tensor(np.random.default_rng(15), desk_cfg, scale=5.0)
+    times, s = desk_cfg.t_grid, desk_cfg.s_grid
+    kin = kinematics_at(times, s, c, desk_cfg)
+    p = phi_eval(times, s, c, desk_cfg)
+    oracle = frame_from_derivatives(p.d1, p.d2, p.d3, desk_cfg.eps_kappa, desk_cfg.eps_v)
+    assert np.all(kin.torsion == 0.0)
+    np.testing.assert_array_equal(kin.degenerate, oracle.degenerate)
+    for name in ("v", "v_t", "v_tt", "kappa", "kappa_t"):
+        want = getattr(oracle, name)
+        np.testing.assert_allclose(getattr(kin, name), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    # the generic b = unit(d1 x d2) carries rounding of relative size |d1| |d2| / |d1 x d2|
+    cond = np.linalg.norm(p.d1, axis=-1) * np.linalg.norm(p.d2, axis=-1) / (oracle.kappa * oracle.v**3)
+    cond = np.where(oracle.degenerate, 1.0, cond)[..., None]
+    for name in ("tau", "n", "b"):
+        error = np.abs(getattr(kin.frame, name) - getattr(oracle.frame, name))
+        assert np.all(error <= 1e-12 * cond), name
 
 
 def test_kinematics_kappa_matches_sampled_trajectory(desk_cfg):
