@@ -1,6 +1,6 @@
 """vortexlab: a numerical laboratory for vortex-ring deformation.
 
-Evaluates an analytic expanding-ring parameterization, integrates the wave
+Evaluates an analytic expanding-ring parameterization, solves the wave
 equations governing the swirl-axis coefficients along each transport
 trajectory, scores the alignment between the vortex axis and the swirl axis
 (mean absolute directional correlation), and searches the deformation
@@ -14,7 +14,6 @@ from .geometry import (
     FrenetFrame,
     TrajectoryKinematics,
     ZeroSpeed,
-    arc_reparam_factor,
     frame_from_derivatives,
 )
 from .madc import DimensionMismatch, MadcReport, madc
@@ -69,7 +68,6 @@ __all__ = [
     "FrenetFrame",
     "TrajectoryKinematics",
     "ZeroSpeed",
-    "arc_reparam_factor",
     "frame_from_derivatives",
     "DimensionMismatch",
     "MadcReport",

@@ -25,7 +25,6 @@ __all__ = [
     "MeridionalFrame",
     "TrajectoryKinematics",
     "frame_from_derivatives",
-    "arc_reparam_factor",
 ]
 
 DEFAULT_EPS_V = 1e-10
@@ -284,8 +283,3 @@ def _meridional_kinematics(
         frame=MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w),
         degenerate=degenerate,
     )
-
-
-def arc_reparam_factor(kin: TrajectoryKinematics):
-    """Factor 1/v converting z-derivatives to t-derivatives (d/dz = v^-1 d/dt)."""
-    return 1.0 / kin.v

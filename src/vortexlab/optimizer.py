@@ -24,7 +24,6 @@ import json
 import os
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 from pathlib import Path
 
@@ -508,20 +507,14 @@ def run_study(
     if torn:
         os.truncate(log_path, log_path.stat().st_size - torn)
 
-    deterministic = study.parallel_width == 1
     ceiling = None
     sobol = None
 
-    def evaluate(tensor: CoefficientTensor) -> tuple:
-        start = time.perf_counter()
-        score, value, fraction = evaluate_tensor(tensor, ring)
-        elapsed = 0.0 if deterministic else time.perf_counter() - start
-        return score, value, fraction, elapsed
-
     with open(log_path, "a") as log:
 
-        def commit(trial_id, phase, tensor, outcome):
-            score, value, fraction, elapsed = outcome
+        def commit(trial_id, phase, tensor):
+            start = time.perf_counter()
+            score, value, fraction = evaluate_tensor(tensor, ring)
             rec = TrialRecord(
                 trial_id=trial_id,
                 phase=phase,
@@ -529,40 +522,35 @@ def run_study(
                 madc=value,
                 feasible_fraction=fraction,
                 coeffs=[float(x) for x in tensor.flatten()],
-                elapsed=elapsed,
+                elapsed=0.0 if study.parallel_width == 1 else time.perf_counter() - start,
             )
             log.write(rec.to_json_line() + "\n")
             log.flush()
             history.append(rec)
 
-        with ThreadPoolExecutor(max_workers=study.parallel_width) as pool:
-            while len(history) < n_total:
-                start_id = len(history)
-                width = min(study.parallel_width, n_total - start_id)
-                ids = range(start_id, start_id + width)
-                if start_id < study.n_qmc:
-                    ids = range(start_id, min(start_id + width, study.n_qmc))
-                    if sobol is None:
-                        sobol = _sobol_sampler(space, study.seed, skip=start_id)
-                    tensors = _draw_qmc(sobol, space, len(ids))
-                    phase = "qmc"
-                else:
-                    if study.strategy == "structured" and ceiling is None:
-                        ceiling = feasibility_ceiling(ring)
-                    tensors = propose_refinements(
-                        history,
-                        len(ids),
-                        seed=(study.seed, start_id),
-                        strategy=study.strategy,
-                        space=space,
-                        ceiling=ceiling,
-                    )
-                    phase = "refine"
-                if width == 1:
-                    outcomes = [evaluate(tensors[0])]
-                else:
-                    outcomes = list(pool.map(evaluate, tensors))
-                for trial_id, tensor, outcome in zip(ids, tensors, outcomes):
-                    commit(trial_id, phase, tensor, outcome)
+        # batches of parallel_width trials, evaluated and committed in order
+        while len(history) < n_total:
+            start_id = len(history)
+            stop = min(start_id + study.parallel_width, n_total)
+            if start_id < study.n_qmc:
+                stop = min(stop, study.n_qmc)
+                if sobol is None:
+                    sobol = _sobol_sampler(space, study.seed, skip=start_id)
+                tensors = _draw_qmc(sobol, space, stop - start_id)
+                phase = "qmc"
+            else:
+                if study.strategy == "structured" and ceiling is None:
+                    ceiling = feasibility_ceiling(ring)
+                tensors = propose_refinements(
+                    history,
+                    stop - start_id,
+                    seed=(study.seed, start_id),
+                    strategy=study.strategy,
+                    space=space,
+                    ceiling=ceiling,
+                )
+                phase = "refine"
+            for trial_id, tensor in zip(range(start_id, stop), tensors):
+                commit(trial_id, phase, tensor)
 
     return StudyResult(best=_best_record(history), history=list(history))

@@ -5,8 +5,9 @@ Four independent certificates, each evaluated at randomized points:
 * the explicit 3x3 frame-matrix inverse really inverts the matrix,
 * the first-order expansion of 1/D has a second-order remainder,
 * the chain rule d2/dt2 = v^2 d2/dz2 + v' d/dz holds on model trajectories,
-* the rearranged wave equations, with the coefficients the integrator uses
-  (:func:`vortexlab.wave_dynamics.wave_coefficients`), are an exact
+* the rearranged wave equations, with the coefficients the reference RK4
+  integrator uses (:func:`vortexlab.wave_dynamics.wave_coefficients`; the
+  trial path's closed-form solve is tested against it), are an exact
   algebraic consequence of the closure identities (with d(kappa)/dz =
   kappa'/v substituted).
 
@@ -276,7 +277,7 @@ def run_all_checks(seed: int = 0) -> list:
         worst = max(worst, check_leibniz_identity(tensor, cfg, t, s))
     results.append(CheckResult("leibniz_identity", worst, 1e-6, "max_residual"))
 
-    # alpha_tt from the wave coefficients the integrator uses, 1000 samples at once
+    # alpha_tt from the reference integrator's wave coefficients, 1000 samples at once
     v = rng.uniform(0.5, 3.0, size=1000)
     v_t, v_tt = rng.uniform(-3.0, 3.0, size=(2, 1000))
     kappa, kappa_t, torsion, alpha1, alpha2 = rng.uniform(-2.0, 2.0, size=(5, 1000))

@@ -1,4 +1,4 @@
-"""Swirl-axis dynamics: initial alignment, wave-equation integration, axis field.
+"""Swirl-axis dynamics: initial alignment, wave-equation solution, axis field.
 
 Per angular point s the trajectory t -> Phi(t, s) carries a Frenet frame
 (tau, n, b) and two scalar coefficients alpha1, alpha2 obeying
@@ -12,6 +12,10 @@ vortex axis.  Initial data are chosen so the two unit axes start perfectly
 aligned with vanishing alignment rate; columns where that is impossible
 (zeta* has no positive tangent component) are flagged infeasible and carry
 NaN correlations.
+
+The trial path solves the equations by their exact first integrals
+(``_propagate``); :func:`integrate_wave_system`, RK4 on
+:func:`wave_coefficients`, is the reference solution of them as written.
 
 The trajectories stay in their meridional half-planes, so the grid path
 works on scalar components: the kinematics and frame come from
@@ -218,28 +222,49 @@ def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
     return init, feasible
 
 
-def _integrate(ratio: np.ndarray, forcing: np.ndarray, init: AlphaState, cfg: RingConfig) -> list:
-    """RK4 states at the ``cfg.t_grid`` nodes, coefficients given per abscissa row."""
-    rows = iter(zip(ratio, forcing))
-    y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
-    raw = integrate_wave_system(lambda t: next(rows), cfg.t0, cfg.t1, cfg.n_time, y0)
-    return [
-        AlphaState(t=t, alpha1=y[0], alpha2=y[2], alpha1_t=y[1], alpha2_t=y[3])
-        for t, y in zip(cfg.t_grid, raw)
-    ]
+def _cumulative_simpson(f: np.ndarray, width) -> np.ndarray:
+    """Integral of f from row 0 to each even row, rows in (lo, mid, hi) panels of ``width``."""
+    panels = (width / 6.0) * (f[0:-1:2] + 4.0 * f[1::2] + f[2::2])
+    return np.concatenate([np.zeros_like(panels[:1]), np.cumsum(panels, axis=0)])
+
+
+def _propagate(kin: TrajectoryKinematics, rows, init: AlphaState, width) -> tuple:
+    """Exact wave-equation state (alpha1, alpha2, alpha1', alpha2') at even ``rows``.
+
+    ``rows`` of the grid run along axis 0 as chained (lo, mid, hi) Simpson
+    panels of signed ``width``, the first at t0.  As v solves y'' = (v''/v) y
+    and v (2 v kappa' + 4 v' kappa) = 2 (v^2 kappa)', the first integrals
+    C1 = v alpha1' - v' alpha1 - 2 v^2 kappa and C2 = v alpha2' - v' alpha2
+    give, with both integrals by composite Simpson (O(h^4), as RK4 is),
+        alpha1 = v (alpha1_0/v0 + int 2 kappa dt + C1 int v^-2 dt)
+        alpha2 = v (alpha2_0/v0 + C2 int v^-2 dt).
+    """
+    v, v_t, kappa = (x[rows] for x in (kin.v, kin.v_t, kin.kappa))
+    v0, v0_t = v[0], v_t[0]
+    c1 = v0 * init.alpha1_t - v0_t * init.alpha1 - 2.0 * v0 * v0 * kappa[0]
+    c2 = v0 * init.alpha2_t - v0_t * init.alpha2
+    bend = _cumulative_simpson(2.0 * kappa, width)
+    drift = _cumulative_simpson(1.0 / (v * v), width)
+    v, v_t, kappa = v[::2], v_t[::2], kappa[::2]
+    alpha1 = v * (init.alpha1 / v0 + bend + c1 * drift)
+    alpha2 = v * (init.alpha2 / v0 + c2 * drift)
+    alpha1_t = (v_t * alpha1 + 2.0 * v * v * kappa + c1) / v
+    alpha2_t = (v_t * alpha2 + c2) / v
+    return alpha1, alpha2, alpha1_t, alpha2_t
 
 
 def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> tuple:
-    """RK4 time series of the wave-equation state over [t0, t1].
+    """Time series of the wave-equation state over [t0, t1], solved in closed form.
 
     ``init`` holds the state at t0 over ``cfg.s_grid``.  Returns the
     ``cfg.n_time + 1`` states and the kinematics at those nodes, both from
-    one grid evaluation over the RK4 abscissae (t0, then midpoint and
-    endpoint per step, so the even rows are the nodes).  ZeroSpeed from the
-    kinematics propagates (infeasible trial).
+    one grid evaluation over the half-step rows of ``_rk4_abscissae`` (t0,
+    then midpoint and endpoint per step, so the even rows are the nodes).
+    ZeroSpeed from the kinematics propagates (infeasible trial).
     """
     kin, _ = _evaluate_grid(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), c, cfg)
-    states = _integrate(*wave_coefficients(kin), init, cfg)
+    solution = _propagate(kin, slice(None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
+    states = [AlphaState(t, *state) for t, *state in zip(cfg.t_grid, *solution)]
     nodes = range(0, 2 * cfg.n_time + 1, 2)
     return states, [embed_kinematics(_take(kin, i), cfg.s_grid) for i in nodes]
 
@@ -268,55 +293,47 @@ def _correlation(swirl: tuple, tangent: tuple) -> np.ndarray:
 def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     """Finite-difference d(corr)/dt at t0 per angular point (NaN infeasible).
 
-    One signed RK4 step to either side of t0 resolves the derivative
-    without contaminating it with the (legitimately nonzero) second-order
-    drift of the correlation, which node-spacing differences would pick up.
-    Richardson extrapolation over h and h/2 removes the leading h^2 error,
-    which matters for large deformations where corr bends fast.
+    One signed Simpson panel (t0, midpoint, target) of the closed-form solve
+    to either side of t0 resolves the derivative without contaminating it
+    with the (legitimately nonzero) second-order drift of the correlation,
+    which node-spacing differences would pick up.  Richardson extrapolation
+    over h and h/2 removes the leading h^2 error, which matters for large
+    deformations where corr bends fast.
     """
     t0, h = cfg.t0, cfg.fd_step
-    targets = (t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h)
-    # rows 0-2: the alignment stencil; then (t0, midpoint, end) of one RK4 step to each target
+    targets = np.array([t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h])
+    # rows 0-2: the alignment stencil; then (t0, midpoint, target) per target
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
     kin, tangent = _evaluate_grid(np.concatenate([[t0 - h, t0, t0 + h], *steps]), c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
-    ratio, forcing = wave_coefficients(kin)
-    y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
-
-    corr = []
-    for i, t in enumerate(targets):
-        lo, end = 3 + 3 * i, 5 + 3 * i
-        coeffs = iter(zip(ratio[lo : end + 1], forcing[lo : end + 1]))
-        y = integrate_wave_system(lambda _: next(coeffs), t0, t, 1, y0)[-1]
-        corr.append(_correlation(_swirl_axis(y[0], y[2]), [x[end] for x in tangent]))
-    plus_half, minus_half, plus, minus = corr
+    panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
+    alpha1, alpha2, _, _ = _propagate(kin, panels, init, (targets - t0)[:, None])
+    swirl = _swirl_axis(alpha1[-1], alpha2[-1])
+    plus_half, minus_half, plus, minus = _correlation(swirl, [x[panels[-1]] for x in tangent])
 
     rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
     return np.where(feasible, rate, np.nan)
 
 
 def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
-    """Solve alignment, integrate the wave system, correlate the axes.
+    """Solve alignment, solve the wave system in closed form, correlate the axes.
 
     One Phi and frame evaluation covers the grid: the rate-stencil times
-    t0 +- fd_step, then the RK4 abscissae, whose even rows are the time
-    nodes.  Per-column infeasibility (no initial alignment at t0 or at a
-    rate stencil point) is recorded in ``feasible`` and produces NaN
-    correlations, not an error.
+    t0 +- fd_step, then the half-step rows of ``_rk4_abscissae``, whose
+    even rows are the time nodes.  Per-column infeasibility (no initial
+    alignment at t0 or at a rate stencil point) is recorded in ``feasible``
+    and produces NaN correlations, not an error.
     """
     h = cfg.fd_step
     times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
     kin, tangent = _evaluate_grid(times, c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
-    ratio, forcing = wave_coefficients(kin)
-    states = _integrate(ratio[2:], forcing[2:], init, cfg)
+    alpha1, alpha2, _, _ = _propagate(kin, slice(2, None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
 
     nodes = slice(2, None, 2)
     frame = _take(kin.frame, nodes)
     tangent = [x[nodes] for x in tangent]
-    swirl = _swirl_axis(
-        np.stack([state.alpha1 for state in states]), np.stack([state.alpha2 for state in states])
-    )
+    swirl = _swirl_axis(alpha1, alpha2)
     corr = np.where(feasible[None, :], np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
     return AxisField(
         t_nodes=cfg.t_grid,

@@ -355,7 +355,7 @@ def test_verify_detects_injected_sign_error(monkeypatch, capsys):
 
 
 def test_verify_detects_flipped_forcing_term(monkeypatch, capsys):
-    # the closure certificate evaluates the integrator's wave coefficients
+    # the closure certificate evaluates the reference integrator's wave coefficients
     def flipped(kin):
         return kin.v_tt / kin.v, 2.0 * kin.v * kin.kappa_t - 4.0 * kin.v_t * kin.kappa
 

@@ -4,7 +4,6 @@ import pytest
 from vortexlab.geometry import (
     ZeroSpeed,
     _meridional_kinematics,
-    arc_reparam_factor,
     frame_from_derivatives,
 )
 from vortexlab.ring_model import embed_kinematics
@@ -210,16 +209,6 @@ def test_batched_inputs_match_scalar_path():
         assert batch.kappa[i] == pytest.approx(single.kappa, rel=1e-15)
         assert batch.torsion[i] == pytest.approx(single.torsion, rel=1e-15)
         np.testing.assert_allclose(batch.frame.n[i], single.frame.n, atol=1e-15)
-
-
-def test_arc_reparam_factor():
-    kin = frame_from_derivatives(np.array([2.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
-    assert arc_reparam_factor(kin) == pytest.approx(0.5)
-    kin = frame_from_derivatives(np.array([1.0, 0.0, 0.0]), np.zeros(3), np.zeros(3))
-    assert arc_reparam_factor(kin) == pytest.approx(1.0)
-    kin = frame_from_derivatives(np.array([0.0, 12 * np.pi, 0.0]), np.zeros(3), np.zeros(3))
-    assert arc_reparam_factor(kin) == pytest.approx(1.0 / (12 * np.pi))
-    assert arc_reparam_factor(kin) == pytest.approx(0.026526, abs=1e-6)
 
 
 def test_meridional_kernel_matches_generic_frame():

@@ -7,6 +7,7 @@ import pytest
 import vortexlab.geometry as geometry
 import vortexlab.optimizer as optimizer
 import vortexlab.ring_model as ring_model
+import vortexlab.wave_dynamics as wave_dynamics
 from vortexlab.cli import load_configs
 from vortexlab.geometry import ZeroSpeed
 from vortexlab.optimizer import (
@@ -251,6 +252,20 @@ def test_zero_speed_at_rk4_midpoint_only_is_infeasible(tiny_ring):
     assert evaluate_tensor(tensor, dataclasses.replace(ring, eps_v=eps_v)) == (0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("ring, n", [(DESK, 300), (RingConfig(), 4)])
+def test_sign_corner_tensors_score_finite(ring, n):
+    # every coefficient at +-c_max: the largest deformations of the box, where
+    # 1/v^2 and the cumulative sums are most exposed (RuntimeWarnings are
+    # errors in this suite)
+    dim = 4 * (ring.J + 1) * (ring.K + 1)
+    signs = np.random.default_rng(21).choice([-1.0, 1.0], size=(n, dim))
+    for flat in ring.c_max * signs:
+        tensor = CoefficientTensor.from_flat(flat, ring.J, ring.K)
+        score, value, fraction = evaluate_tensor(tensor, ring)
+        assert np.isfinite([score, value, fraction]).all()
+        assert 0.0 <= fraction <= 1.0
+
+
 def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp_path):
     built = []
     sobol = optimizer.qmc.Sobol
@@ -440,7 +455,8 @@ def test_run_study_structured_deterministic_and_resumable(monkeypatch, tiny_ring
 
 
 def test_evaluate_tensor_makes_no_cross_products(monkeypatch):
-    # the trial path runs on meridional components: no 3-D frame is built
+    # the trial path runs on meridional components: no 3-D frame is built,
+    # and the wave equations are solved in closed form, never stepped by RK4
     calls = []
 
     def counted(name, fn):
@@ -454,6 +470,8 @@ def test_evaluate_tensor_makes_no_cross_products(monkeypatch):
     for module in (geometry, ring_model):
         fn = module.frame_from_derivatives
         monkeypatch.setattr(module, "frame_from_derivatives", counted("frame", fn))
+    for name in ("integrate_wave_system", "wave_coefficients"):
+        monkeypatch.setattr(wave_dynamics, name, counted(name, getattr(wave_dynamics, name)))
     tensor = CoefficientTensor.from_flat(np.random.default_rng(8).uniform(-5, 5, 140), 4, 6)
     score, _, fraction = evaluate_tensor(tensor, DESK)
     assert fraction > 0.0 and score > 0.0
@@ -461,3 +479,8 @@ def test_evaluate_tensor_makes_no_cross_products(monkeypatch):
     # the counters do see the generic routine
     ring_model.frame_from_derivatives(np.ones(3), np.arange(3.0), np.zeros(3))
     assert calls[0] == "frame" and "cross" in calls
+    kin = ring_model.kinematics_at(DESK.t0, DESK.s_grid, tensor, DESK)
+    wave_dynamics.integrate_wave_system(
+        lambda t: wave_dynamics.wave_coefficients(kin), 0.0, 1.0, 1, np.zeros((4, DESK.n_s))
+    )
+    assert calls[-4:] == ["integrate_wave_system"] + ["wave_coefficients"] * 3

@@ -1,4 +1,6 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from vortexlab.wave_dynamics import (
     integrate_alpha,
     integrate_wave_system,
     solve_initial_alignment,
+    wave_coefficients,
 )
 import vortexlab.wave_dynamics as wave_dynamics
 
@@ -133,6 +136,8 @@ def test_homogeneous_symmetry_alpha1_equals_alpha2():
 
 
 def test_rk4_self_convergence_against_fine_reference():
+    # integrate_alpha's closed-form solve (cumulative Simpson) is fourth
+    # order in the step, like the RK4 it replaced
     cfg = RingConfig()
     c = CoefficientTensor.zeros(cfg.J, cfg.K)
     init, feas = aligned_initial_state(c, cfg)
@@ -149,6 +154,38 @@ def test_rk4_self_convergence_against_fine_reference():
     assert err32 < 1e-9
     # order 4: halving the step cuts the error ~16x (within a factor 2)
     assert 8.0 < err32 / err64 < 32.0
+
+
+@pytest.mark.parametrize("scale", [1.0, 5.0, 30.0])
+def test_closed_form_alpha_matches_rk4_on_wave_coefficients(scale):
+    # integrate_alpha solves the wave equations through their first
+    # integrals; RK4 on wave_coefficients, the coefficients `vortexlab verify`
+    # certifies, solves them as written, asking for coefficients at the same
+    # half-step rows.  On the feasible columns of the desk golden tensors,
+    # relative to the largest |alpha| there, the gaps measured 7.7e-6 for
+    # alpha1 (largest where kappa passes near 0 and |W| kinks) and 1.2e-7
+    # for alpha2: tolerances 1e-4 and 2e-6 keep >= 13x headroom.
+    cfg = RingConfig(J=4, K=6, n_s=64)
+    golden = json.loads((Path(__file__).parent / "golden_scores.json").read_text())
+    seeds = [e["seed"] for e in golden if e["ring"] == "desk" and e["scale"] == scale]
+    assert seeds
+    for seed in seeds:
+        flat = np.random.default_rng(seed).uniform(-scale, scale, 140)
+        c = CoefficientTensor.from_flat(flat, 4, 6)
+        init, feas = aligned_initial_state(c, cfg)
+        assert feas.any()
+        states = integrate_alpha(c, cfg, init)[0]
+
+        def coeff_fn(t):
+            return wave_coefficients(kinematics_at(t, cfg.s_grid, c, cfg))
+
+        y0 = np.stack([init.alpha1, init.alpha1_t, init.alpha2, init.alpha2_t])
+        ref = np.array(integrate_wave_system(coeff_fn, cfg.t0, cfg.t1, cfg.n_time, y0))
+        for name, row, tol in (("alpha1", 0, 1e-4), ("alpha2", 2, 2e-6)):
+            got = np.array([getattr(state, name) for state in states])[:, feas]
+            want = ref[:, row][:, feas]
+            gap = np.max(np.abs(got - want)) / np.max(np.abs(want))
+            assert gap < tol, (seed, name, gap)
 
 
 def test_axis_field_baseline():
