@@ -208,6 +208,34 @@ def frame_from_derivatives(
     )
 
 
+def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V) -> tuple:
+    """(v, v', W, kappa) from the first two derivatives (see :func:`_meridional_kinematics`)."""
+    v = np.hypot(a1, b1)
+    if np.any(v <= eps_v):
+        raise ZeroSpeed(f"|d1| <= {eps_v}; stationary trajectory point")
+    v_t = (a1 * a2 + b1 * b2) / v
+    w = a1 * b2 - b1 * a2
+    return v, v_t, w, np.abs(w) / v**3
+
+
+def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA):
+    """The :class:`MeridionalFrame` of :func:`_meridional_kinematics`, fallback included."""
+    degenerate = kappa < eps_kappa
+    tau_r, tau_z = a1 / v, b1 / v
+    # sign(a1) e_theta = -sign(a1) w on degenerate points
+    n_m = np.where(degenerate, 0.0, np.sign(w))
+    n_w = np.where(degenerate, -np.sign(a1), 0.0)
+    vertical = degenerate & (np.abs(tau_r) < _FALLBACK_EPS)
+    if np.any(vertical):
+        # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
+        along_m = np.broadcast_to(np.sin(azimuth), v.shape)
+        along_w = np.cos(azimuth) * tau_z
+        norm = np.hypot(along_m, along_w)
+        n_m = np.where(vertical, along_m / norm, n_m)
+        n_w = np.where(vertical, along_w / norm, n_w)
+    return MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w)
+
+
 def _meridional_kinematics(
     a,
     b,
@@ -241,31 +269,11 @@ def _meridional_kinematics(
     """
     a1, a2, a3 = a
     b1, b2, b3 = b
-    v = np.hypot(a1, b1)
-    if np.any(v <= eps_v):
-        raise ZeroSpeed(f"|d1| <= {eps_v}; stationary trajectory point")
-
-    v_t = (a1 * a2 + b1 * b2) / v
+    v, v_t, w, kappa = _speed_curvature(a1, a2, b1, b2, eps_v)
     v_tt = (a2 * a2 + b2 * b2 + a1 * a3 + b1 * b3 - v_t**2) / v
-    w = a1 * b2 - b1 * a2
-    v3 = v**3
-    kappa = np.abs(w) / v3
-    sign_w = np.sign(w)
-    kappa_t = sign_w * (a1 * b3 - a3 * b1) / v3 - 3.0 * kappa * v_t / v
+    kappa_t = np.sign(w) * (a1 * b3 - a3 * b1) / v**3 - 3.0 * kappa * v_t / v
     degenerate = kappa < eps_kappa
-
-    tau_r, tau_z = a1 / v, b1 / v
-    # sign(a1) e_theta = -sign(a1) w on degenerate points
-    n_m = np.where(degenerate, 0.0, sign_w)
-    n_w = np.where(degenerate, -np.sign(a1), 0.0)
-    vertical = degenerate & (np.abs(tau_r) < _FALLBACK_EPS)
-    if np.any(vertical):
-        # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
-        along_m = np.broadcast_to(np.sin(azimuth), v.shape)
-        along_w = np.cos(azimuth) * tau_z
-        norm = np.hypot(along_m, along_w)
-        n_m = np.where(vertical, along_m / norm, n_m)
-        n_w = np.where(vertical, along_w / norm, n_w)
+    frame = _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa)
     torsion = np.zeros_like(v)
 
     if v.ndim == 0:
@@ -273,13 +281,4 @@ def _meridional_kinematics(
         kappa, kappa_t, torsion = float(kappa), float(kappa_t), float(torsion)
         degenerate = bool(degenerate)
 
-    return TrajectoryKinematics(
-        v=v,
-        v_t=v_t,
-        v_tt=v_tt,
-        kappa=kappa,
-        kappa_t=kappa_t,
-        torsion=torsion,
-        frame=MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w),
-        degenerate=degenerate,
-    )
+    return TrajectoryKinematics(v, v_t, v_tt, kappa, kappa_t, torsion, frame, degenerate)

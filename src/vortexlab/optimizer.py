@@ -176,12 +176,28 @@ class StudyResult:
 
 
 def _sobol_sampler(space: SearchSpace, seed: int, skip: int):
-    """The study's scrambled Sobol generator, fast-forwarded past ``skip`` points."""
+    """The study's scrambled Sobol generator, fast-forwarded past ``skip`` points.
+
+    Bit for bit ``qmc.Sobol(d, scramble=True, seed=seed)``: scipy's LMS+shift
+    scramble (Matousek 1998) from the same ``default_rng(seed)`` draws, in one
+    vectorized pass.  Scrambled bit q of a direction number v is the parity of
+    (row q of rot180(ltm)) & v: the XOR of the columns that v's bits select.
+    """
     if space.dim > _SOBOL_MAX_DIM:
         raise DimensionTooLarge(
             f"dim = {space.dim} exceeds the Sobol limit {_SOBOL_MAX_DIM}; reduce J/K"
         )
-    sampler = qmc.Sobol(d=space.dim, scramble=True, seed=seed)
+    sampler = qmc.Sobol(d=space.dim, scramble=False, seed=seed)
+    rng, bits, uint = np.random.default_rng(seed), sampler.bits, sampler._sv.dtype
+    powers = np.arange(bits, dtype=uint)
+    shift = rng.integers(2, size=(space.dim, bits), dtype=uint) @ (2**powers)
+    ltm = np.tril(rng.integers(2, size=(space.dim, bits, bits), dtype=uint))
+    ltm[:, powers, powers] = 1
+    columns = (ltm[:, ::-1, ::-1] << powers[:, None]).sum(axis=1, dtype=uint)
+    v_bits = (sampler._sv[:, :, None] >> powers) & 1
+    sampler._sv = np.bitwise_xor.reduce(v_bits * columns[:, None, :], axis=-1)
+    sampler._shift, sampler._quasi = shift, shift.copy()
+    sampler._first_point = (shift * sampler._scale).reshape(1, -1).astype(np.float64)
     if skip:
         sampler.fast_forward(skip)
     return sampler

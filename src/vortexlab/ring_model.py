@@ -35,7 +35,9 @@ import numpy as np
 from .geometry import (  # noqa: F401
     FrenetFrame,
     TrajectoryKinematics,
+    _meridional_frame,
     _meridional_kinematics,
+    _speed_curvature,
     frame_from_derivatives,
 )
 
@@ -240,27 +242,13 @@ class RingPoint:
         return self._time_derivative(3)
 
     @property
-    def ds_components(self) -> tuple:
-        """(e_r, e_theta, e_z) components of the ring tangent dPhi/ds."""
-        return self.radial_s, 2.0 * np.pi * self.radial[0], self.vertical_s
-
-    @property
     def ds(self) -> np.ndarray:
-        return embed(self.ds_components, self.s)
-
-    def meridional_kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
-        """Trajectory kinematics with the frame in meridional components."""
-        return _meridional_kinematics(
-            self.radial[1:],
-            self.vertical[1:],
-            _azimuth(self.s),
-            eps_kappa=cfg.eps_kappa,
-            eps_v=cfg.eps_v,
-        )
+        return embed((self.radial_s, 2.0 * np.pi * self.radial[0], self.vertical_s), self.s)
 
     def kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
         """Trajectory kinematics at these points (see :func:`kinematics_at`)."""
-        return embed_kinematics(self.meridional_kinematics(cfg), self.s)
+        args = self.radial[1:], self.vertical[1:], _azimuth(self.s), cfg.eps_kappa, cfg.eps_v
+        return embed_kinematics(_meridional_kinematics(*args), self.s)
 
 
 @dataclass(frozen=True)
@@ -334,6 +322,14 @@ def _time_power_table(dt, J: int) -> np.ndarray:
     return table
 
 
+def _fourier_basis(s, K: int) -> tuple:
+    """(basis, d basis/ds), rows sin(2 pi k s) then cos(2 pi k s) for k = 0..K."""
+    ang = 2.0 * np.pi * np.outer(np.reshape(s, -1), np.arange(K + 1))
+    sin_k, cos_k = np.sin(ang), np.cos(ang)
+    kfac = 2.0 * np.pi * np.arange(K + 1)
+    return np.vstack([sin_k.T, cos_k.T]), np.vstack([(kfac * cos_k).T, (-kfac * sin_k).T])
+
+
 def deformation_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> DeformationValues:
     """Evaluate gamma1, gamma2 and their exact partials at time(s) t.
 
@@ -351,29 +347,14 @@ def deformation_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> Deformation
     time_coeffs = np.einsum("o...j,lmjk->o...lmk", pows, c.c) / (K + 1.0)
     time_coeffs = time_coeffs.reshape(4, -1, n_basis)
 
-    ang = 2.0 * np.pi * np.outer(s.reshape(-1), np.arange(K + 1))
-    sin_k, cos_k = np.sin(ang), np.cos(ang)
-    kfac = 2.0 * np.pi * np.arange(K + 1)
-    basis = np.vstack([sin_k.T, cos_k.T])
-    basis_s = np.vstack([(kfac * cos_k).T, (-kfac * sin_k).T])
+    basis, basis_s = _fourier_basis(s, K)
 
     # one matmul for every (o, t..., l) row; the s-derivative needs only o = 0
     values = (time_coeffs.reshape(-1, n_basis) @ basis).reshape((4,) + dt.shape + (2,) + s.shape)
     slopes = (time_coeffs[0] @ basis_s).reshape(dt.shape + (2,) + s.shape)
     g1, g2 = np.moveaxis(values, dt.ndim + 1, 0)
     g1_s, g2_s = np.moveaxis(slopes, dt.ndim, 0)
-    return DeformationValues(
-        g1=g1[0],
-        g1_t=g1[1],
-        g1_tt=g1[2],
-        g1_ttt=g1[3],
-        g1_s=g1_s,
-        g2=g2[0],
-        g2_t=g2[1],
-        g2_tt=g2[2],
-        g2_ttt=g2[3],
-        g2_s=g2_s,
-    )
+    return DeformationValues(*g1, g1_s, *g2, g2_s)
 
 
 def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
@@ -407,3 +388,61 @@ def kinematics_at(t, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKine
     infeasible trial.
     """
     return phi_eval(t, s, c, cfg).kinematics(cfg)
+
+
+@dataclass(frozen=True)
+class _RowGrid:
+    """The coefficient-free part of Phi on ``times`` x ``cfg.s_grid`` (read-only arrays).
+
+    ``pows`` stacks the order-1 and order-2 time powers of every row over
+    the order-0 powers of ``tangent_rows``; ``transport`` is (Gamma',
+    Gamma'') per row, and ``radius`` is R + Gamma on the tangent rows.
+    """
+
+    tangent_rows: np.ndarray
+    pows: np.ndarray
+    basis: np.ndarray
+    basis_s: np.ndarray
+    transport: np.ndarray
+    radius: np.ndarray
+    radius_s: np.ndarray
+    azimuth: np.ndarray
+
+    @classmethod
+    def build(cls, times: np.ndarray, tangent_rows: np.ndarray, cfg: RingConfig) -> "_RowGrid":
+        pows = _time_power_table(times - cfg.t0, cfg.J)
+        gamma, gamma_t, gamma_tt, _ = transport_gamma(times[:, None])
+        grid = cls(
+            tangent_rows,
+            np.concatenate([pows[1], pows[2], pows[0, tangent_rows]]),
+            *_fourier_basis(cfg.s_grid, cfg.K),
+            np.stack([gamma_t, gamma_tt]),
+            radius_profile(cfg.s_grid, cfg.delta, cfg.angle_convention) + gamma[tangent_rows],
+            radius_profile_deriv(cfg.s_grid, cfg.delta, cfg.angle_convention),
+            _azimuth(cfg.s_grid),
+        )
+        for field in dataclasses.fields(grid):
+            getattr(grid, field.name).flags.writeable = False
+        return grid
+
+    def evaluate(self, c: CoefficientTensor, cfg: RingConfig) -> tuple:
+        """((v, v', kappa) on every row; MeridionalFrame and unit ring tangent on the tangent rows).
+
+        The tangent is given by its components along (tau, n, b), NaN where
+        dPhi/ds vanishes.  Raises ZeroSpeed where any row's speed vanishes.
+        """
+        n = self.transport.shape[1]
+        time_coeffs = np.einsum("rj,lmjk->rlmk", self.pows, c.c) / (c.K + 1.0)
+        time_coeffs = time_coeffs.reshape(-1, len(self.basis))
+        values = (time_coeffs @ self.basis).reshape(-1, 2, cfg.n_s)
+        (a1, b1), (a2, b2) = values[:n].swapaxes(0, 1), values[n : 2 * n].swapaxes(0, 1)
+        a1, a2 = a1 + self.transport[0], a2 + self.transport[1]
+        v, v_t, w, kappa = _speed_curvature(a1, a2, b1, b2, cfg.eps_v)
+        on_rows = (x[self.tangent_rows] for x in (a1, b1, v, w, kappa))
+        frame = _meridional_frame(*on_rows, self.azimuth, cfg.eps_kappa)
+        slopes = (time_coeffs[4 * n :] @ self.basis_s).reshape(-1, 2, cfg.n_s)
+        r, z = self.radius_s + slopes[:, 0], slopes[:, 1]
+        theta = 2.0 * np.pi * (self.radius + values[2 * n :, 0])
+        norm = np.sqrt(r * r + theta * theta + z * z)
+        norm = np.where(norm > 0.0, norm, np.nan)
+        return (v, v_t, kappa), frame, tuple(x / norm for x in frame.coords(r, theta, z))

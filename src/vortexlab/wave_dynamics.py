@@ -18,26 +18,28 @@ The trial path solves the equations by their exact first integrals
 :func:`wave_coefficients`, is the reference solution of them as written.
 
 The trajectories stay in their meridional half-planes, so the grid path
-works on scalar components: the kinematics and frame come from
-``RingPoint.meridional_kinematics`` and zeta* enters only through its
-components (a, b, c) along (tau, n, b).  Cartesian axes are formed only for
-the time nodes of :class:`AxisField` and :func:`integrate_alpha`.
+works on scalar components: the kinematics, the frame and zeta*'s
+components (a, b, c) along (tau, n, b) come from one product of the
+coefficients with a ``ring_model._RowGrid`` (for trials, cached per config).
+Cartesian axes are formed only on :class:`AxisField` access and in
+:func:`integrate_alpha`.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, fields, is_dataclass
 from typing import Callable
 
 import numpy as np
 
-from .geometry import FrenetFrame, TrajectoryKinematics
-# kinematics_at stays a module attribute: perfbench/tracer.py patches it here
+from .geometry import FrenetFrame, MeridionalFrame, TrajectoryKinematics
+# kinematics_at and phi_eval stay module attributes: perfbench/tracer.py patches both here
 from .ring_model import (  # noqa: F401
     CoefficientTensor,
     RingConfig,
+    _RowGrid,
     embed,
-    embed_kinematics,
     kinematics_at,
     phi_eval,
 )
@@ -72,15 +74,25 @@ class AxisField:
 
     ``corr[i, j]`` is NaN on infeasible columns; ``feasible`` marks columns
     where the initial alignment (including its finite-difference rate
-    stencil) succeeded.
+    stencil) succeeded.  ``swirl`` and ``tangent`` hold the unit axes along the
+    node ``frame``'s (tau, n, b); ``zeta_hat`` and ``zeta_star_hat`` embed them.
     """
 
     t_nodes: np.ndarray
     s_grid: np.ndarray
-    zeta_hat: np.ndarray
-    zeta_star_hat: np.ndarray
     corr: np.ndarray
     feasible: np.ndarray
+    frame: MeridionalFrame
+    swirl: tuple
+    tangent: tuple
+
+    @property
+    def zeta_hat(self) -> np.ndarray:
+        return embed(self.frame.vector(*self.swirl), self.s_grid)
+
+    @property
+    def zeta_star_hat(self) -> np.ndarray:
+        return embed(self.frame.vector(*self.tangent), self.s_grid)
 
 
 def _unit(vec: np.ndarray) -> np.ndarray:
@@ -178,19 +190,15 @@ def wave_coefficients(kin: TrajectoryKinematics) -> tuple:
     return ratio, forcing
 
 
-def _evaluate_grid(times: np.ndarray, c: CoefficientTensor, cfg: RingConfig):
-    """(meridional kinematics, unit ring tangent) on times x s-grid from one Phi evaluation.
+@functools.lru_cache(maxsize=16)
+def _trial_grid(cfg: RingConfig) -> _RowGrid:
+    """:func:`axis_field`'s rows: t0 -+ fd_step, then the half-step rows of ``_rk4_abscissae``.
 
-    The ring tangent is given by its components (a, b, c) along (tau, n, b);
-    they are NaN where dPhi/ds vanishes.  ZeroSpeed anywhere on the grid
-    propagates (infeasible trial).
+    Only the two stencil rows and the even (node) rows carry the ring tangent.
     """
-    p = phi_eval(times, cfg.s_grid, c, cfg)
-    kin = p.meridional_kinematics(cfg)
-    r, theta, z = p.ds_components
-    norm = np.sqrt(r * r + theta * theta + z * z)
-    norm = np.where(norm > 0.0, norm, np.nan)
-    return kin, tuple(x / norm for x in kin.frame.coords(r, theta, z))
+    h = cfg.fd_step
+    times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
+    return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
 
 
 def _take(rows, idx):
@@ -228,18 +236,19 @@ def _cumulative_simpson(f: np.ndarray, width) -> np.ndarray:
     return np.concatenate([np.zeros_like(panels[:1]), np.cumsum(panels, axis=0)])
 
 
-def _propagate(kin: TrajectoryKinematics, rows, init: AlphaState, width) -> tuple:
+def _propagate(speed: tuple, rows, init: AlphaState, width) -> tuple:
     """Exact wave-equation state (alpha1, alpha2, alpha1', alpha2') at even ``rows``.
 
-    ``rows`` of the grid run along axis 0 as chained (lo, mid, hi) Simpson
-    panels of signed ``width``, the first at t0.  As v solves y'' = (v''/v) y
-    and v (2 v kappa' + 4 v' kappa) = 2 (v^2 kappa)', the first integrals
+    ``speed`` is (v, v', kappa) on a grid whose ``rows`` run along axis 0 as
+    chained (lo, mid, hi) Simpson panels of signed ``width``, the first at
+    t0.  As v solves y'' = (v''/v) y and v (2 v kappa' + 4 v' kappa) =
+    2 (v^2 kappa)', the first integrals
     C1 = v alpha1' - v' alpha1 - 2 v^2 kappa and C2 = v alpha2' - v' alpha2
     give, with both integrals by composite Simpson (O(h^4), as RK4 is),
         alpha1 = v (alpha1_0/v0 + int 2 kappa dt + C1 int v^-2 dt)
         alpha2 = v (alpha2_0/v0 + C2 int v^-2 dt).
     """
-    v, v_t, kappa = (x[rows] for x in (kin.v, kin.v_t, kin.kappa))
+    v, v_t, kappa = (x[rows] for x in speed)
     v0, v0_t = v[0], v_t[0]
     c1 = v0 * init.alpha1_t - v0_t * init.alpha1 - 2.0 * v0 * v0 * kappa[0]
     c2 = v0 * init.alpha2_t - v0_t * init.alpha2
@@ -262,21 +271,19 @@ def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> 
     then midpoint and endpoint per step, so the even rows are the nodes).
     ZeroSpeed from the kinematics propagates (infeasible trial).
     """
-    kin, _ = _evaluate_grid(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), c, cfg)
-    solution = _propagate(kin, slice(None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
+    kin = kinematics_at(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), cfg.s_grid, c, cfg)
+    width = (cfg.t1 - cfg.t0) / cfg.n_time
+    solution = _propagate((kin.v, kin.v_t, kin.kappa), slice(None), init, width)
     states = [AlphaState(t, *state) for t, *state in zip(cfg.t_grid, *solution)]
-    nodes = range(0, 2 * cfg.n_time + 1, 2)
-    return states, [embed_kinematics(_take(kin, i), cfg.s_grid) for i in nodes]
+    return states, [_take(kin, i) for i in range(0, 2 * cfg.n_time + 1, 2)]
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
-    """(AlphaState at t0, feasibility mask) for the aligned-start experiment.
+    """(AlphaState at t0, feasibility mask): the aligned start :func:`axis_field` takes.
 
     Infeasible columns (at t0 or at either rate-stencil point) carry NaN.
     """
-    h = cfg.fd_step
-    _, tangent = _evaluate_grid(np.array([cfg.t0 - h, cfg.t0, cfg.t0 + h]), c, cfg)
-    return _aligned_start(tangent, cfg, rows=slice(0, 3))
+    return _aligned_start(_trial_grid(cfg).evaluate(c, cfg)[2], cfg, rows=[0, 2, 1])
 
 
 def _swirl_axis(alpha1: np.ndarray, alpha2: np.ndarray) -> tuple:
@@ -304,10 +311,11 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     targets = np.array([t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h])
     # rows 0-2: the alignment stencil; then (t0, midpoint, target) per target
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
-    kin, tangent = _evaluate_grid(np.concatenate([[t0 - h, t0, t0 + h], *steps]), c, cfg)
+    times = np.concatenate([[t0 - h, t0, t0 + h], *steps])
+    speed, _, tangent = _RowGrid.build(times, np.arange(len(times)), cfg).evaluate(c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
     panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
-    alpha1, alpha2, _, _ = _propagate(kin, panels, init, (targets - t0)[:, None])
+    alpha1, alpha2, _, _ = _propagate(speed, panels, init, (targets - t0)[:, None])
     swirl = _swirl_axis(alpha1[-1], alpha2[-1])
     plus_half, minus_half, plus, minus = _correlation(swirl, [x[panels[-1]] for x in tangent])
 
@@ -318,28 +326,26 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
 def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """Solve alignment, solve the wave system in closed form, correlate the axes.
 
-    One Phi and frame evaluation covers the grid: the rate-stencil times
-    t0 +- fd_step, then the half-step rows of ``_rk4_abscissae``, whose
-    even rows are the time nodes.  Per-column infeasibility (no initial
-    alignment at t0 or at a rate stencil point) is recorded in ``feasible``
-    and produces NaN correlations, not an error.
+    One product of the coefficients with the cached :func:`_trial_grid`
+    covers every row.  Each row gets v, v' and kappa, from the first two
+    time derivatives of Phi; only the stencil rows and the time nodes get
+    the frame and the unit ring tangent.  Per-column infeasibility (no
+    initial alignment at t0 or at a rate stencil point) is recorded in
+    ``feasible`` and produces NaN correlations, not an error.
     """
-    h = cfg.fd_step
-    times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
-    kin, tangent = _evaluate_grid(times, c, cfg)
+    speed, frame, tangent = _trial_grid(cfg).evaluate(c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
-    alpha1, alpha2, _, _ = _propagate(kin, slice(2, None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
+    alpha1, alpha2, _, _ = _propagate(speed, slice(2, None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
 
-    nodes = slice(2, None, 2)
-    frame = _take(kin.frame, nodes)
-    tangent = [x[nodes] for x in tangent]
+    tangent = tuple(x[2:] for x in tangent)
     swirl = _swirl_axis(alpha1, alpha2)
     corr = np.where(feasible[None, :], np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
     return AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
-        zeta_hat=embed(frame.vector(*swirl), cfg.s_grid),
-        zeta_star_hat=embed(frame.vector(*tangent), cfg.s_grid),
         corr=corr,
         feasible=feasible,
+        frame=_take(frame, slice(2, None)),
+        swirl=swirl,
+        tangent=tangent,
     )

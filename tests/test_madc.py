@@ -9,15 +9,15 @@ from vortexlab.wave_dynamics import AxisField, axis_field
 
 
 def synthetic_field(cfg, corr, feasible):
-    n_nodes = cfg.n_time + 1
-    shape = (n_nodes, cfg.n_s, 3)
+    # madc reads only corr and feasible, so the axes stay unset
     return AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
-        zeta_hat=np.zeros(shape),
-        zeta_star_hat=np.zeros(shape),
         corr=np.where(feasible[None, :], corr, np.nan),
         feasible=feasible,
+        frame=None,
+        swirl=None,
+        tangent=None,
     )
 
 

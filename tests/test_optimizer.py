@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import types
+import warnings
 
 import numpy as np
 import pytest
@@ -264,6 +266,24 @@ def test_sign_corner_tensors_score_finite(ring, n):
         score, value, fraction = evaluate_tensor(tensor, ring)
         assert np.isfinite([score, value, fraction]).all()
         assert 0.0 <= fraction <= 1.0
+
+
+@pytest.mark.parametrize("d", [1, 7, 140, 924])
+def test_sobol_sampler_matches_scipy_scramble_bit_for_bit(d):
+    # the vectorized LMS+shift scramble sets scipy's private engine fields;
+    # a scipy that renames them or changes its draws fails here
+    space = types.SimpleNamespace(dim=d, c_max=1.0, unflatten=lambda flat: flat)
+    for seed in (0, 3, 99):
+        for skip in (0, 5, 13):
+            sampler = optimizer._sobol_sampler(space, seed, skip)
+            got = optimizer._draw_qmc(sampler, space, 3) + optimizer._draw_qmc(sampler, space, 4)
+            ref = optimizer.qmc.Sobol(d, scramble=True, seed=seed)
+            if skip:
+                ref.fast_forward(skip)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                want = 2.0 * np.vstack([ref.random(3), ref.random(4)]) - 1.0
+            np.testing.assert_array_equal(np.array(got), want, err_msg=f"seed {seed}, skip {skip}")
 
 
 def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp_path):

@@ -210,6 +210,57 @@ def test_axis_field_baseline():
     np.testing.assert_allclose(norms, 1.0, atol=1e-12)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0, 5.0, 30.0])
+def test_axis_field_axes_on_access_match_cartesian_reference(scale):
+    # axis_field keeps frame components and forms the Cartesian axes on
+    # access; the reference builds them from integrate_alpha's Cartesian
+    # FrenetFrames and from dPhi/ds at the time nodes.
+    cfg = RingConfig(J=4, K=6, n_s=64)
+    golden = json.loads((Path(__file__).parent / "golden_scores.json").read_text())
+    seeds = [e["seed"] for e in golden if e["ring"] == "desk" and e["scale"] == scale]
+    assert seeds
+    for seed in seeds:
+        flat = np.random.default_rng(seed).uniform(-scale, scale, 140)
+        c = CoefficientTensor.from_flat(flat, 4, 6)
+        field = axis_field(c, cfg)
+        states, node_kins = integrate_alpha(c, cfg, aligned_initial_state(c, cfg)[0])
+        zeta = np.stack(
+            [
+                kin.frame.tau - st.alpha1[:, None] * kin.frame.n - st.alpha2[:, None] * kin.frame.b
+                for st, kin in zip(states, node_kins)
+            ]
+        )
+        zeta /= np.linalg.norm(zeta, axis=-1, keepdims=True)
+        zeta_star = phi_eval(cfg.t_grid, cfg.s_grid, c, cfg).ds
+        zeta_star /= np.linalg.norm(zeta_star, axis=-1, keepdims=True)
+        assert field.zeta_hat.shape == field.zeta_star_hat.shape == (cfg.n_time + 1, cfg.n_s, 3)
+        feas = field.feasible
+        np.testing.assert_allclose(field.zeta_hat[:, feas], zeta[:, feas], rtol=0, atol=1e-12)
+        assert np.all(np.isnan(field.zeta_hat[:, ~feas]))
+        np.testing.assert_allclose(field.zeta_star_hat, zeta_star, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"n_time": 16}, {"fd_step_factor": 2.0**-12}, {"delta": 0.05}, {"angle_convention": "radians"}],
+)
+def test_trial_grid_constants_cached_per_config(change):
+    cfg = RingConfig(J=2, K=2, n_s=16, n_time=8)
+    grid = wave_dynamics._trial_grid(cfg)
+    assert wave_dynamics._trial_grid(dataclasses.replace(cfg)) is grid
+    other = wave_dynamics._trial_grid(dataclasses.replace(cfg, **change))
+    assert other is not grid
+    differs = [
+        f.name
+        for f in dataclasses.fields(grid)
+        if not np.array_equal(getattr(grid, f.name), getattr(other, f.name))
+    ]
+    assert differs, change
+    for f in dataclasses.fields(grid):
+        with pytest.raises(ValueError):
+            getattr(grid, f.name)[...] = 0.0
+
+
 def test_axis_field_alignment_rate_vanishes_at_t0():
     cfg = RingConfig()
     c = CoefficientTensor.zeros(cfg.J, cfg.K)
