@@ -28,6 +28,7 @@ from dataclasses import dataclass, asdict
 from pathlib import Path
 
 import numpy as np
+import orjson
 from scipy.optimize import linprog
 from scipy.stats import qmc
 
@@ -63,6 +64,9 @@ __all__ = [
 _SOBOL_MAX_DIM = 21201
 
 _LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeffs", "elapsed")
+_NUMERIC_FIELDS = ("score", "madc", "feasible_fraction", "elapsed")
+# json.dumps' spelling; one encoder, as passing allow_nan to json.dumps builds one per call
+_LOG_ENCODER = json.JSONEncoder(allow_nan=False)
 
 REFINE_SIGMA_INIT_FACTOR = 0.1
 # One success per five trials keeps sigma constant: 2**0.5 * (2**-0.125)**4 = 1
@@ -157,7 +161,8 @@ class TrialRecord:
     elapsed: float
 
     def to_json_line(self) -> str:
-        return json.dumps({name: getattr(self, name) for name in _LOG_FIELDS})
+        """The log line; a non-finite value raises ValueError, as the reader refuses it."""
+        return _LOG_ENCODER.encode({name: getattr(self, name) for name in _LOG_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -237,9 +242,12 @@ def _adapted_sigma(history: list, c_max: float) -> float:
     sigma = REFINE_SIGMA_INIT_FACTOR * c_max
     best_so_far = -np.inf
     for rec in history:
+        # one scan, no call per record: this runs before every refine proposal
+        score = rec.score
         if rec.phase == "refine":
-            sigma *= _SIGMA_GROW if rec.score > best_so_far else _SIGMA_SHRINK
-        best_so_far = max(best_so_far, rec.score)
+            sigma *= _SIGMA_GROW if score > best_so_far else _SIGMA_SHRINK
+        if score > best_so_far:
+            best_so_far = score
     return float(np.clip(sigma, 1e-6 * c_max, c_max))
 
 
@@ -467,32 +475,47 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     """(records, bytes of an unterminated final line) of a trial log.
 
     A final line without its newline is what a kill mid-write leaves; it is
-    dropped, never parsed.  Every newline-terminated line must be a valid
-    record.
+    dropped, never parsed.  Every newline-terminated line must be a record:
+    a JSON object with exactly the logged fields in order, an int trial_id
+    equal to its line index, a known phase, numeric score, madc,
+    feasible_fraction and elapsed, and a coeffs list of length dim.  The
+    coefficients' own types are not checked, as that would cost a Python
+    step per number.
+
+    Lines are decoded with orjson, several times faster than ``json.loads``
+    on a full-scale record and equal to it bit for bit on finite floats, but
+    stricter: NaN, Infinity, literals that overflow a double (1e400) and
+    invalid UTF-8 are refused.  Writing stays on the standard library's
+    ``json`` (see :meth:`TrialRecord.to_json_line`), because orjson spells
+    some floats differently (1e-05 as 0.00001) and the log bytes are the
+    contract.
     """
     history = []
     torn = 0
-    with open(log_path) as fh:
+    with open(log_path, "rb") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if not line.endswith("\n"):
-                torn = len(line.encode())
+            if not line.endswith(b"\n"):
+                torn = len(line)
                 break
-            if line.strip() == "":
+            if line.strip() == b"":
                 raise CorruptTrialLog(line_no, "blank line")
             try:
-                raw = json.loads(line)
-            except json.JSONDecodeError as exc:
+                raw = orjson.loads(line)
+            except orjson.JSONDecodeError as exc:
                 raise CorruptTrialLog(line_no, f"invalid JSON ({exc.msg})") from exc
+            if type(raw) is not dict:
+                raise CorruptTrialLog(line_no, f"not a JSON object: {type(raw).__name__}")
             if tuple(raw.keys()) != _LOG_FIELDS:
                 raise CorruptTrialLog(line_no, f"unexpected fields {sorted(raw)}")
-            if raw["trial_id"] != line_no - 1:
-                raise CorruptTrialLog(line_no, f"trial_id {raw['trial_id']} out of order")
+            if type(raw["trial_id"]) is not int or raw["trial_id"] != line_no - 1:
+                raise CorruptTrialLog(line_no, f"trial_id {raw['trial_id']!r} is not {line_no - 1}")
             if raw["phase"] not in ("qmc", "refine"):
                 raise CorruptTrialLog(line_no, f"unknown phase {raw['phase']!r}")
-            if len(raw["coeffs"]) != space.dim:
-                raise CorruptTrialLog(
-                    line_no, f"coeffs length {len(raw['coeffs'])} != dim {space.dim}"
-                )
+            for name in _NUMERIC_FIELDS:
+                if type(raw[name]) not in (int, float):
+                    raise CorruptTrialLog(line_no, f"{name} {raw[name]!r} is not a number")
+            if type(raw["coeffs"]) is not list or len(raw["coeffs"]) != space.dim:
+                raise CorruptTrialLog(line_no, f"coeffs is not a list of {space.dim} numbers")
             history.append(TrialRecord(**raw))
     return history, torn
 

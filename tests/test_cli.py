@@ -183,12 +183,14 @@ def test_optimize_corrupt_log_exits_4(tmp_path, desk_config_path, capsys):
     study = tmp_path / "study.jsonl"
     main(["optimize", "--config", str(desk_config_path), "--study", str(study), "--seed", "7"])
     text = study.read_text().splitlines()
-    study.write_text(text[0] + "\n{bad json\n")
-    code = main(
-        ["optimize", "--config", str(desk_config_path), "--study", str(study), "--seed", "7"]
-    )
-    assert code == 4
-    assert "line 2" in capsys.readouterr().err
+    # invalid JSON, and a valid JSON value that is not a record
+    for bad in ("{bad json", "[1, 2]"):
+        study.write_text(text[0] + "\n" + bad + "\n")
+        code = main(
+            ["optimize", "--config", str(desk_config_path), "--study", str(study), "--seed", "7"]
+        )
+        assert code == 4
+        assert "line 2" in capsys.readouterr().err
 
 
 def test_optimize_without_qmc_phase_exits_2(tmp_path, desk_config_path, capsys):

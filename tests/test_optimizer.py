@@ -195,6 +195,102 @@ def test_run_study_refuses_corrupt_log(tiny_ring, tmp_path):
         run_study(study, tiny_ring, log)
 
 
+def with_field_text(name, text):
+    """A bad line: the record with ``name``'s value replaced by the raw JSON ``text``."""
+    return lambda rec: json.dumps({**rec, name: "@"}).encode().replace(b'"@"', text)
+
+
+MALFORMED_LINES = {
+    "blank": (2, lambda rec: b"  "),
+    "truncated JSON": (2, lambda rec: json.dumps(rec).encode()[:40]),
+    "not an object": (2, lambda rec: b"[1, 2]"),
+    "fields reordered": (2, lambda rec: json.dumps(dict(reversed(rec.items()))).encode()),
+    "trial_id 0.0 on line 1": (1, with_field_text("trial_id", b"0.0")),
+    "trial_id true on line 2": (2, with_field_text("trial_id", b"true")),
+    "trial_id skips": (2, with_field_text("trial_id", b"2")),
+    "unknown phase": (2, with_field_text("phase", b'"anneal"')),
+    "string score": (2, with_field_text("score", b'"0.5"')),
+    "null madc": (2, with_field_text("madc", b"null")),
+    "bool feasible_fraction": (2, with_field_text("feasible_fraction", b"false")),
+    "list elapsed": (2, with_field_text("elapsed", b"[0.0]")),
+    "NaN score": (2, with_field_text("score", b"NaN")),
+    "-Infinity madc": (2, with_field_text("madc", b"-Infinity")),
+    "overflowing literal": (2, with_field_text("score", b"1e400")),
+    "invalid UTF-8": (2, with_field_text("phase", b'"q\xffc"')),
+    "coeffs a number": (2, with_field_text("coeffs", b"7")),
+    # 36 is tiny_ring's dim: a string has a length too
+    "coeffs a string of length dim": (2, with_field_text("coeffs", b'"' + b"x" * 36 + b'"')),
+    "coeffs too short": (2, with_field_text("coeffs", b"[0.0]")),
+}
+
+
+@pytest.mark.parametrize("line_no, bad", MALFORMED_LINES.values(), ids=list(MALFORMED_LINES))
+def test_resume_refuses_every_malformed_line(tiny_ring, tmp_path, line_no, bad):
+    study = StudyConfig(n_qmc=3, n_refine=0, seed=2)
+    log = tmp_path / "log.jsonl"
+    run_study(study, tiny_ring, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    record = json.loads(lines[line_no - 1])
+    lines[line_no - 1] = bad(record) + b"\n"
+    log.write_bytes(b"".join(lines))
+    with pytest.raises(CorruptTrialLog) as err:
+        run_study(study, tiny_ring, log)
+    assert err.value.line_no == line_no
+
+
+def test_writer_refuses_non_finite_values():
+    for value in (np.nan, np.inf, -np.inf):
+        for rec in (make_record(0, value, [0.0]), make_record(0, 0.5, [0.0, value])):
+            with pytest.raises(ValueError):
+                rec.to_json_line()
+
+
+def test_writer_bytes_pinned():
+    # the stdlib's float spelling is the log format; orjson would write 0.00001 and 1e16
+    rec = TrialRecord(3, "refine", 0.25, 1e-05, 1.0, [-0.0, 5e-324, 1e16, -30.0], 0.0)
+    assert rec.to_json_line() == (
+        '{"trial_id": 3, "phase": "refine", "score": 0.25, "madc": 1e-05, '
+        '"feasible_fraction": 1.0, "coeffs": [-0.0, 5e-324, 1e+16, -30.0], "elapsed": 0.0}'
+    )
+
+
+def assert_records_bitwise_equal(got, want):
+    assert got == want
+    for a, b in zip(got, want):
+        for name in ("score", "madc", "feasible_fraction", "coeffs", "elapsed"):
+            assert np.array(getattr(a, name)).tobytes() == np.array(getattr(b, name)).tobytes()
+
+
+def test_written_records_parse_back_bit_for_bit(space, tmp_path):
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2**64, size=40 * (space.dim + 4), dtype=np.uint64).view(np.float64)
+    draws = bits[np.isfinite(bits)]
+    special = [-0.0, 5e-324, 1e-05, 1e16, space.c_max, -space.c_max, 1.7976931348623157e308]
+    flats = np.concatenate([special, draws])
+    n = len(flats) // (space.dim + 4)
+    rows = flats[: n * (space.dim + 4)].reshape(n, space.dim + 4)
+    records = [
+        TrialRecord(i, ("qmc", "refine")[i % 2], *row[:3].tolist(), row[4:].tolist(), row[3])
+        for i, row in enumerate(rows)
+    ]
+    log = tmp_path / "log.jsonl"
+    log.write_text("".join(rec.to_json_line() + "\n" for rec in records))
+    history, torn = optimizer._parse_log(log, space)
+    assert torn == 0 and len(history) == n > 30
+    assert_records_bitwise_equal(history, records)
+    # orjson reads every float exactly as the stdlib reader does
+    stdlib = [TrialRecord(**json.loads(line)) for line in log.read_text().splitlines()]
+    assert_records_bitwise_equal(history, stdlib)
+
+
+def test_run_study_log_parses_back_to_its_history(tiny_ring, tmp_path):
+    log = tmp_path / "log.jsonl"
+    result = run_study(StudyConfig(n_qmc=6, n_refine=3, seed=42), tiny_ring, log)
+    history, torn = optimizer._parse_log(log, SearchSpace.from_ring_config(tiny_ring))
+    assert torn == 0
+    assert_records_bitwise_equal(history, result.history)
+
+
 def test_study_config_validation():
     with pytest.raises(ValueError):
         StudyConfig(n_qmc=0, n_refine=0)
@@ -353,6 +449,45 @@ def test_sigma_adaptation_one_fifth_rule(space):
         make_record(i + 1, s, coeffs, phase="refine") for i, s in enumerate(scores)
     ]
     assert optimizer._adapted_sigma(neutral, space.c_max) == pytest.approx(sigma0)
+
+
+def test_refine_center_ties_go_to_first_maximum(space):
+    history = [
+        make_record(0, 0.2, np.full(space.dim, 1.0)),
+        make_record(1, 0.7, np.full(space.dim, 2.0)),
+        make_record(2, 0.7, np.full(space.dim, 3.0)),
+        make_record(3, 0.9, np.full(space.dim, 4.0), feasible_fraction=0.0),
+        make_record(4, 0.7, np.full(space.dim, 5.0), phase="refine"),
+    ]
+    assert optimizer._best_record(history[:3]).trial_id == 1
+    # the infeasible 0.9 is skipped; of the three 0.7s the first is the center
+    got = propose_refinements(history, 2, seed=(0, 5), space=space)
+    rng = np.random.default_rng(np.random.SeedSequence((0, 5)))
+    sigma = optimizer._adapted_sigma(history, space.c_max)
+    for tensor in got:
+        want = space.clip(2.0 + sigma * rng.standard_normal(space.dim))
+        np.testing.assert_array_equal(tensor.flatten(), want)
+
+
+def test_adapted_sigma_matches_reference_loop_with_interleaved_phases(space):
+    def reference(history, c_max):
+        sigma = optimizer.REFINE_SIGMA_INIT_FACTOR * c_max
+        best_so_far = -np.inf
+        for rec in history:
+            if rec.phase == "refine":
+                sigma *= 2.0**0.5 if rec.score > best_so_far else 2.0**-0.125
+            best_so_far = max(best_so_far, rec.score)
+        return float(np.clip(sigma, 1e-6 * c_max, c_max))
+
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 7, 60, 400):
+        # few distinct scores, so ties with the best so far are common
+        scores = rng.choice([0.0, 0.1, 0.25, 0.5, 0.9], size=n)
+        phases = rng.choice(["qmc", "refine"], size=n)
+        history = [
+            make_record(i, float(s), [], phase=str(p)) for i, (s, p) in enumerate(zip(scores, phases))
+        ]
+        assert optimizer._adapted_sigma(history, space.c_max) == reference(history, space.c_max)
 
 
 def row_tensor(row, ring):
