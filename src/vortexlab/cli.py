@@ -36,14 +36,25 @@ GRID_HEADER = ["t", "s", "x", "y", "z", "zsx", "zsy", "zsz", "zx", "zy", "zz", "
 _RING_FIELDS = {f.name: f.type for f in dataclasses.fields(RingConfig)}
 _STUDY_FIELDS = {f.name: f.type for f in dataclasses.fields(StudyConfig)}
 _INT_KEYS = {"J", "K", "n_time", "n_s", "n_qmc", "n_refine", "seed", "parallel_width"}
-_STR_KEYS = {"angle_convention", "strategy"}
+_STR_KEYS = {"strategy"}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(key: str, raw: str):
+def _parse_scalar(key: str, raw):
+    """A config value of ``key``: text is parsed, a JSON value must have the key's type.
+
+    Integer keys take integers, string keys strings and the rest numbers;
+    a bool is refused for any of them.
+    """
+    if not isinstance(raw, str):
+        kinds = (str,) if key in _STR_KEYS else (int,) if key in _INT_KEYS else (int, float)
+        if type(raw) not in kinds:
+            expected = " or ".join(kind.__name__ for kind in kinds)
+            raise ConfigError(f"config key {key!r}: expected {expected}, got {raw!r}")
+        return raw
     raw = raw.strip()
     if key in _STR_KEYS:
         return raw
@@ -79,7 +90,7 @@ def _load_config_dict(path: Path) -> dict:
         if "=" not in stripped:
             raise ConfigError(f"config file {path} line {line_no}: expected key = value")
         key, raw = stripped.split("=", 1)
-        data[key.strip()] = _parse_scalar(key.strip(), raw)
+        data[key.strip()] = raw
     return data
 
 
@@ -95,9 +106,9 @@ def load_configs(path) -> tuple:
     ring_kwargs, study_kwargs = {}, {}
     for key, value in data.items():
         if key in _RING_FIELDS:
-            ring_kwargs[key] = _parse_scalar(key, str(value)) if isinstance(value, str) else value
+            ring_kwargs[key] = _parse_scalar(key, value)
         elif key in _STUDY_FIELDS:
-            study_kwargs[key] = value
+            study_kwargs[key] = _parse_scalar(key, value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
@@ -114,7 +125,7 @@ def _load_coeffs(path, cfg: RingConfig) -> CoefficientTensor:
         raise ConfigError(f"coefficient file not found: {p}")
     try:
         tensor = CoefficientTensor.load(p)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"coefficient file {p}: {exc}") from exc
     if (tensor.J, tensor.K) != (cfg.J, cfg.K):
         raise ConfigError(
@@ -214,7 +225,11 @@ def cmd_optimize(args) -> int:
     if args.trials_refine is not None:
         overrides["n_refine"] = args.trials_refine
     if os.environ.get("VAL_SEED"):
-        overrides["seed"] = int(os.environ["VAL_SEED"])
+        try:
+            overrides["seed"] = int(os.environ["VAL_SEED"])
+        except ValueError:
+            print(f"error: VAL_SEED={os.environ['VAL_SEED']!r} is not an integer", file=sys.stderr)
+            return 2
     elif args.seed is not None:
         overrides["seed"] = args.seed
     if args.parallel is not None:

@@ -1,16 +1,21 @@
 """Two-phase coefficient search maximizing the alignment score.
 
 Phase one explores the coefficient box with a scrambled Sobol sequence;
-phase two refines with one of two strategies:
+phase two refines.  Both refine strategies take Gaussian steps from a
+center, with a step size adapted by a 1/5-success rule and proposals
+clipped to bounds; they differ only in the center and a pinned row:
 
-* ``perturb_best`` (default): Gaussian perturbations of the best feasible
-  trial, step size adapted by a 1/5-success rule, proposals clipped to
-  bounds.  It needs a feasible trial to start from, so it needs a QMC phase.
+* ``perturb_best`` (default): centered on the best feasible trial, nothing
+  pinned.  It needs a feasible trial to start from, so it needs a QMC phase.
 * ``structured``: the j=0 gamma1 row is pinned to the
   :func:`feasibility_ceiling` row, which opens angular columns no random
-  draw reaches; every other coefficient starts at zero and takes the same
-  1/5-rule Gaussian steps around the best refine trial.  It needs no
-  history, so it also runs with ``n_qmc = 0``.
+  draw reaches; every other coefficient starts at zero and the steps are
+  centered on the best refine trial.  It needs no history, so it also runs
+  with ``n_qmc = 0``.
+
+Which columns a tensor can use is read from the trial path itself
+(:func:`vortexlab.wave_dynamics.aligned_initial_state`), never re-derived
+here; the ceiling's LP takes its rate-stencil times from the same helper.
 
 Every evaluation is appended to a JSON-lines log as it completes, so a
 killed study resumes from the log and (in deterministic mode,
@@ -21,6 +26,7 @@ uninterrupted.
 from __future__ import annotations
 
 import json
+import operator
 import os
 import time
 import warnings
@@ -36,12 +42,13 @@ from .madc import madc
 from .ring_model import (
     CoefficientTensor,
     RingConfig,
+    _fourier_basis,
     radius_profile,
     radius_profile_deriv,
     transport_gamma,
 )
 from .geometry import ZeroSpeed
-from .wave_dynamics import axis_field
+from .wave_dynamics import _rate_stencil, aligned_initial_state, axis_field
 
 __all__ = [
     "DimensionTooLarge",
@@ -229,40 +236,35 @@ def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
     return _draw_qmc(_sobol_sampler(space, seed, skip), space, n)
 
 
-def _best_record(history: list) -> TrialRecord:
-    best = history[0]
-    for rec in history[1:]:
-        if rec.score > best.score:
-            best = rec
-    return best
+def _refine_state(history: list, c_max: float) -> tuple:
+    """(sigma, best feasible record, best refine record) from one pass over the history.
 
-
-def _adapted_sigma(history: list, c_max: float) -> float:
-    """1/5-success step size from the refine trials committed so far."""
+    sigma is the 1/5-success step size of the refine trials committed so
+    far; a record is None where the history has none, and ties go to the
+    first maximum.  This runs before every refine proposal, so it reads
+    each record once and makes no call per record.
+    """
     sigma = REFINE_SIGMA_INIT_FACTOR * c_max
-    best_so_far = -np.inf
+    best_so_far = best_feasible_score = best_refine_score = -np.inf
+    best_feasible = best_refine = None
     for rec in history:
-        # one scan, no call per record: this runs before every refine proposal
         score = rec.score
         if rec.phase == "refine":
             sigma *= _SIGMA_GROW if score > best_so_far else _SIGMA_SHRINK
+            if score > best_refine_score:
+                best_refine, best_refine_score = rec, score
         if score > best_so_far:
             best_so_far = score
-    return float(np.clip(sigma, 1e-6 * c_max, c_max))
+        if score > best_feasible_score and rec.feasible_fraction > 0.0:
+            best_feasible, best_feasible_score = rec, score
+    return float(np.clip(sigma, 1e-6 * c_max, c_max)), best_feasible, best_refine
 
 
-def _propose_perturb_best(history, n, rng, space):
-    feasible = [rec for rec in history if rec.feasible_fraction > 0.0]
-    if not feasible:
-        raise NoFeasibleHistory("perturb_best needs at least one feasible trial")
-    best = _best_record(feasible)
-    center = np.asarray(best.coeffs, dtype=float)
-    sigma = _adapted_sigma(history, space.c_max)
-    proposals = []
-    for _ in range(n):
-        step = rng.standard_normal(space.dim)
-        proposals.append(space.clip(center + sigma * step))
-    return proposals
+def _with_row(flat: np.ndarray, row, space: SearchSpace) -> np.ndarray:
+    """Copy of a flattened tensor with its j=0 gamma1 row c[0, :, 0, :] set to ``row``."""
+    c = np.array(flat, dtype=float).reshape(2, 2, space.J + 1, space.K + 1)
+    c[0, :, 0, :] = row
+    return c.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -281,54 +283,19 @@ class FeasibilityCeiling:
     def n_feasible(self) -> int:
         return int(np.count_nonzero(self.feasible))
 
-    def apply(self, flat: np.ndarray, space: SearchSpace) -> np.ndarray:
-        """Copy of a flattened tensor with its j=0 gamma1 row set to ``row``."""
-        c = np.array(flat, dtype=float).reshape(2, 2, space.J + 1, space.K + 1)
-        c[0, :, 0, :] = self.row
-        return c.reshape(-1)
-
-
-def _row_basis(ring: RingConfig):
-    """Matrices mapping a flattened j=0 gamma1 row to d(gamma1)/dt at t0 and its s-derivative.
-
-    At t0 every deformation vanishes and only the j=0 terms have a nonzero
-    first time derivative, f(s) = (K+1)^-1 sum_k (a_k sin 2 pi k s + b_k cos 2 pi k s).
-    """
-    k = np.arange(ring.K + 1)
-    ang = 2.0 * np.pi * np.outer(ring.s_grid, k)
-    basis = np.hstack([np.sin(ang), np.cos(ang)]) / (ring.K + 1.0)
-    basis_s = 2.0 * np.pi * np.hstack([k * np.cos(ang), -k * np.sin(ang)]) / (ring.K + 1.0)
-    return basis, basis_s
-
-
-def _stencil_offsets(ring: RingConfig) -> tuple:
-    return (-ring.fd_step, 0.0, ring.fd_step)
-
 
 def row_feasibility(row, ring: RingConfig) -> np.ndarray:
-    """Closed-form feasibility mask of the tensor that is zero except its j=0 gamma1 row.
+    """Feasibility mask of the tensor that is zero except its j=0 gamma1 row.
 
-    Such a tensor has gamma1 = (t - t0) f(s) and gamma2 = 0, so at time t the
-    trajectory velocity is (Gamma'(t) + f) e_r and the ring tangent is
-    (R_s + (t - t0) f_s) e_r + (R + Gamma(t) + (t - t0) f) de_r/ds.  A column
-    aligns at t where the cosine between them exceeds ``eps_align``; it is
-    feasible where it aligns at t0 and at both rate-stencil points t0 +- fd_step,
-    the same gate :func:`vortexlab.wave_dynamics.aligned_initial_state` applies.
+    This is the trial path's own mask (:func:`aligned_initial_state`); a
+    zero-speed point reads as no column feasible, as in :func:`evaluate_tensor`.
     """
-    basis, basis_s = _row_basis(ring)
-    x = np.asarray(row, dtype=float).reshape(-1)
-    f, f_s = basis @ x, basis_s @ x
-    s = ring.s_grid
-    r = radius_profile(s, ring.delta, ring.angle_convention)
-    r_s = radius_profile_deriv(s, ring.delta, ring.angle_convention)
-    feasible = np.ones(ring.n_s, dtype=bool)
-    for dt in _stencil_offsets(ring):
-        g, g_t, _, _ = transport_gamma(ring.t0 + dt)
-        radial = r_s + dt * f_s
-        tangential = 2.0 * np.pi * (r + g + dt * f)
-        cosine = radial * np.sign(g_t + f) / np.hypot(radial, tangential)
-        feasible &= cosine > ring.eps_align
-    return feasible
+    space = SearchSpace.from_ring_config(ring)
+    tensor = space.unflatten(_with_row(np.zeros(space.dim), row, space))
+    try:
+        return aligned_initial_state(tensor, ring)[1]
+    except ZeroSpeed:
+        return np.zeros(ring.n_s, dtype=bool)
 
 
 def _contiguous_runs(indices: np.ndarray) -> list:
@@ -339,10 +306,13 @@ def _contiguous_runs(indices: np.ndarray) -> list:
 def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
     """The j=0 gamma1 row that opens the most columns the undeformed ring cannot align.
 
-    Column s aligns at t0 only where R_s(s) (Gamma'(t0) + f(s)) > 0 (see
-    :func:`row_feasibility`), which is linear in the row.  For a column set,
+    The tensor that is zero apart from that row has gamma1 = (t - t0) f(s)
+    and gamma2 = 0, so at time t its trajectory velocity is
+    (Gamma'(t) + f) e_r and its ring tangent's e_r part is
+    R_s + (t - t0) f_s.  Near t0 a column therefore aligns only where
+    R_s (Gamma'(t) + f) > 0, which is linear in the row.  For a column set,
     one ``linprog`` maximises the margin m subject to, on every column of
-    the set and at t0 and t0 +- fd_step,
+    the set and at every rate-stencil time t,
 
         sign(R_s) (Gamma'(t) + f) >= m,      fd_step |f_s| <= |R_s| / 2,
 
@@ -353,20 +323,21 @@ def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
     aligns with a margin above ``eps_align``.  The set always holds every
     column the undeformed ring aligns; a two-pointer sweep adds the widest
     window of consecutive candidate columns, ties going to the larger
-    margin.
+    margin.  The columns reported are :func:`row_feasibility` of the row.
 
     The count is a lower bound on the true ceiling: choosing which columns
     to open is combinatorial, and only windows of consecutive columns are
     tried.  At the desk shape (J=4, K=6, n_s=64) an exhaustive
     mixed-integer check over all column subsets finds no larger set.
     """
-    basis, basis_s = _row_basis(ring)
+    # f = basis @ x and f_s = basis_s @ x for the row x flattened as (sine, cosine) x k
+    basis, basis_s = (b.T / (ring.K + 1.0) for b in _fourier_basis(ring.s_grid, ring.K))
     s = ring.s_grid
-    r = radius_profile(s, ring.delta, ring.angle_convention)
-    r_s = radius_profile_deriv(s, ring.delta, ring.angle_convention)
+    r = radius_profile(s, ring.delta)
+    r_s = radius_profile_deriv(s, ring.delta)
     sign = np.sign(r_s)
     gamma0 = transport_gamma(ring.t0)[0]
-    velocities = [transport_gamma(ring.t0 + dt)[1] for dt in _stencil_offsets(ring)]
+    velocities = [transport_gamma(t)[1] for t in _rate_stencil(ring)]
     n_vars = basis.shape[1]
     # the k=0 sine coefficient multiplies sin(0) and stays at zero
     bounds = [(0.0, 0.0)] + [(-ring.c_max, ring.c_max)] * (n_vars - 1) + [(None, None)]
@@ -414,19 +385,6 @@ def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
     return FeasibilityCeiling(row=best_row, feasible=row_feasibility(best_row, ring))
 
 
-def _propose_structured(history, n, rng, space, ceiling):
-    refined = [rec for rec in history if rec.phase == "refine"]
-    start = ceiling.apply(np.zeros(space.dim), space)
-    center = np.asarray(_best_record(refined).coeffs, dtype=float) if refined else start
-    sigma = _adapted_sigma(history, space.c_max)
-    # the first refine trial is the unperturbed start
-    proposals = [] if refined else [start]
-    while len(proposals) < n:
-        step = rng.standard_normal(space.dim)
-        proposals.append(ceiling.apply(space.clip(center + sigma * step), space))
-    return proposals
-
-
 def propose_refinements(
     history: list,
     n: int,
@@ -437,25 +395,39 @@ def propose_refinements(
 ) -> list:
     """n in-bounds refinement candidates from the committed history.
 
-    The ``structured`` strategy needs the study's :func:`feasibility_ceiling`;
-    it is a pure function of the ring config, so callers solve it once.
-    ``perturb_best`` raises NoFeasibleHistory when no committed trial is
-    feasible.
+    Both strategies take 1/5-rule Gaussian steps from a center, clipped to
+    the box; they differ only in the center and in a pinned row.
+    ``perturb_best`` steps from the best feasible trial and pins nothing; it
+    raises NoFeasibleHistory when no committed trial is feasible.
+    ``structured`` pins the j=0 gamma1 row to the study's
+    :func:`feasibility_ceiling` (a pure function of the ring config, so
+    callers solve it once) and steps from the best refine trial; before
+    any, its first proposal is the unperturbed start, the ceiling row on an
+    otherwise zero tensor.
     """
     if n == 0:
         return []
     if space is None:
         raise ValueError("propose_refinements requires the search space")
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if strategy == "perturb_best":
-        flats = _propose_perturb_best(history, n, rng, space)
-    elif strategy == "structured":
-        if ceiling is None:
-            raise ValueError("the structured strategy requires the feasibility ceiling")
-        flats = _propose_structured(history, n, rng, space, ceiling)
-    else:
+    if strategy not in ("perturb_best", "structured"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    return [space.unflatten(flat) for flat in flats]
+    if strategy == "structured" and ceiling is None:
+        raise ValueError("the structured strategy requires the feasibility ceiling")
+    sigma, best_feasible, best_refine = _refine_state(history, space.c_max)
+    if strategy == "perturb_best":
+        if best_feasible is None:
+            raise NoFeasibleHistory("perturb_best needs at least one feasible trial")
+        row, center, proposals = None, best_feasible.coeffs, []
+    else:
+        row = ceiling.row
+        start = _with_row(np.zeros(space.dim), row, space)
+        center, proposals = (start, [start]) if best_refine is None else (best_refine.coeffs, [])
+    center = np.asarray(center, dtype=float)
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    while len(proposals) < n:
+        flat = space.clip(center + sigma * rng.standard_normal(space.dim))
+        proposals.append(flat if row is None else _with_row(flat, row, space))
+    return [space.unflatten(flat) for flat in proposals]
 
 
 def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
@@ -592,4 +564,6 @@ def run_study(
             for trial_id, tensor in zip(range(start_id, stop), tensors):
                 commit(trial_id, phase, tensor)
 
-    return StudyResult(best=_best_record(history), history=list(history))
+    # max keeps the first of equal scores
+    best = max(history, key=operator.attrgetter("score"))
+    return StudyResult(best=best, history=list(history))

@@ -62,9 +62,8 @@ class RingConfig:
     """Model geometry, discretization and numerical thresholds.
 
     Defaults are the full-size experiment; desk-scale runs shrink J, K and
-    n_s.  ``angle_convention`` selects the angle inside the elliptic radius:
-    "turns" reads it as 2*pi*s (periodic on s in [0,1)), "radians" as the
-    bare s.
+    n_s.  The angular parameter s runs over [0, 1) once around the ring, so
+    the elliptic radius and every deformation mode are periodic in s.
     """
 
     delta: float = 0.02
@@ -75,7 +74,6 @@ class RingConfig:
     n_time: int = 32
     n_s: int = 128
     c_max: float = 30.0
-    angle_convention: str = "turns"
     eps_v: float = 1e-10
     eps_kappa: float = 1e-12
     eps_align: float = 1e-6
@@ -94,8 +92,6 @@ class RingConfig:
             raise ValueError(f"c_max must be > 0, got {self.c_max}")
         if self.J < 0 or self.K < 0:
             raise ValueError(f"J, K must be >= 0, got J={self.J}, K={self.K}")
-        if self.angle_convention not in ("turns", "radians"):
-            raise ValueError(f"unknown angle_convention {self.angle_convention!r}")
 
     @property
     def fd_step(self) -> float:
@@ -163,6 +159,8 @@ class CoefficientTensor:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "CoefficientTensor":
+        if not isinstance(d, dict):
+            raise ValueError(f"expected a JSON object with keys J, K, c, got {type(d).__name__}")
         tensor = cls(np.array(d["c"], dtype=float))
         if tensor.J != d["J"] or tensor.K != d["K"]:
             raise ValueError(
@@ -267,33 +265,27 @@ class DeformationValues:
     g2_s: np.ndarray
 
 
-def _theta(s, convention: str):
-    s = np.asarray(s, dtype=float)
-    return 2.0 * np.pi * s if convention == "turns" else s
-
-
-def radius_profile(s, delta: float, convention: str = "turns"):
+def radius_profile(s, delta: float):
     """Elliptic initial radius R(s).
 
     R = (1+delta)(1-delta) / (2 sqrt(((1-delta) cos th)^2 + ((1+delta) sin th)^2))
 
-    with th = 2*pi*s under the "turns" convention, th = s under "radians".
+    with th = 2*pi*s the azimuth, so R is periodic in s with period 1.
     """
-    th = _theta(s, convention)
+    th = _azimuth(s)
     g = ((1.0 - delta) * np.cos(th)) ** 2 + ((1.0 + delta) * np.sin(th)) ** 2
     return (1.0 + delta) * (1.0 - delta) / (2.0 * np.sqrt(g))
 
 
-def radius_profile_deriv(s, delta: float, convention: str = "turns"):
+def radius_profile_deriv(s, delta: float):
     """dR/ds of the elliptic radius (closed form)."""
-    th = _theta(s, convention)
+    th = _azimuth(s)
     g = ((1.0 - delta) * np.cos(th)) ** 2 + ((1.0 + delta) * np.sin(th)) ** 2
     # dg/dth = 4 delta sin(2 th);  R = N / (2 sqrt(g))
     dg = 4.0 * delta * np.sin(2.0 * th)
     n = (1.0 + delta) * (1.0 - delta)
     dr_dth = -n * dg / (4.0 * g**1.5)
-    scale = 2.0 * np.pi if convention == "turns" else 1.0
-    return dr_dth * scale
+    return dr_dth * (2.0 * np.pi)
 
 
 def transport_gamma(t: float):
@@ -365,8 +357,8 @@ def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    r = radius_profile(s, cfg.delta, cfg.angle_convention)
-    r_s = radius_profile_deriv(s, cfg.delta, cfg.angle_convention)
+    r = radius_profile(s, cfg.delta)
+    r_s = radius_profile_deriv(s, cfg.delta)
     # time profiles broadcast against the s axes
     g, g1, g2, g3 = transport_gamma(t.reshape(t.shape + (1,) * s.ndim))
     d = deformation_eval(t, s, c, cfg)
@@ -417,8 +409,8 @@ class _RowGrid:
             np.concatenate([pows[1], pows[2], pows[0, tangent_rows]]),
             *_fourier_basis(cfg.s_grid, cfg.K),
             np.stack([gamma_t, gamma_tt]),
-            radius_profile(cfg.s_grid, cfg.delta, cfg.angle_convention) + gamma[tangent_rows],
-            radius_profile_deriv(cfg.s_grid, cfg.delta, cfg.angle_convention),
+            radius_profile(cfg.s_grid, cfg.delta) + gamma[tangent_rows],
+            radius_profile_deriv(cfg.s_grid, cfg.delta),
             _azimuth(cfg.s_grid),
         )
         for field in dataclasses.fields(grid):

@@ -190,14 +190,22 @@ def wave_coefficients(kin: TrajectoryKinematics) -> tuple:
     return ratio, forcing
 
 
+def _rate_stencil(cfg: RingConfig) -> np.ndarray:
+    """The times (t0 - fd_step, t0, t0 + fd_step) of the aligned start's rate stencil.
+
+    A column is feasible only where it aligns at all three.
+    """
+    return cfg.t0 + cfg.fd_step * np.array([-1.0, 0.0, 1.0])
+
+
 @functools.lru_cache(maxsize=16)
 def _trial_grid(cfg: RingConfig) -> _RowGrid:
     """:func:`axis_field`'s rows: t0 -+ fd_step, then the half-step rows of ``_rk4_abscissae``.
 
-    Only the two stencil rows and the even (node) rows carry the ring tangent.
+    The first two rows are the outer ``_rate_stencil`` times; only they and
+    the even (node) rows carry the ring tangent.
     """
-    h = cfg.fd_step
-    times = np.concatenate([[cfg.t0 - h, cfg.t0 + h], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
+    times = np.concatenate([_rate_stencil(cfg)[::2], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
     return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
 
 
@@ -311,7 +319,7 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     targets = np.array([t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h])
     # rows 0-2: the alignment stencil; then (t0, midpoint, target) per target
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
-    times = np.concatenate([[t0 - h, t0, t0 + h], *steps])
+    times = np.concatenate([_rate_stencil(cfg), *steps])
     speed, _, tangent = _RowGrid.build(times, np.arange(len(times)), cfg).evaluate(c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
     panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)

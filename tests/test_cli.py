@@ -107,6 +107,55 @@ def test_simulate_baseline(tmp_path, desk_config_path, capsys):
     assert manifest["ring_config"]["n_s"] == 16
 
 
+def test_load_configs_angle_convention_is_unknown(tmp_path):
+    path = tmp_path / "cfg"
+    path.write_text("J = 2\nangle_convention = turns\n")
+    with pytest.raises(ConfigError, match="unknown config key 'angle_convention'"):
+        load_configs(path)
+
+
+def json_config(tmp_path, values):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"J": 2, "K": 2, "n_s": 16, "n_time": 8, **values}))
+    return path
+
+
+def test_json_config_fractional_int_key_exits_2(tmp_path, capsys):
+    cfgfile = json_config(tmp_path, {"J": 2.5})
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'J'" in err
+
+
+def test_json_config_fractional_seed_exits_2(tmp_path, capsys):
+    cfgfile = json_config(tmp_path, {"seed": 1.5, "n_qmc": 1, "n_refine": 0})
+    study = tmp_path / "study.jsonl"
+    assert main(["optimize", "--config", str(cfgfile), "--study", str(study)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'seed'" in err
+    assert not study.exists()
+
+
+def test_json_config_bool_int_key_exits_2(tmp_path, capsys):
+    # a JSON bool is not an integer, although Python's bool subclasses int
+    cfgfile = json_config(tmp_path, {"J": True})
+    assert main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'J'" in err
+    with pytest.raises(ConfigError):
+        load_configs(json_config(tmp_path, {"delta": False}))
+
+
+@pytest.mark.parametrize("command", ["simulate", "spectrum"])
+def test_coeff_file_not_an_object_exits_2(tmp_path, desk_config_path, capsys, command):
+    coeffs = tmp_path / "c.json"
+    coeffs.write_text("[1, 2]\n")
+    args = ["--config", str(desk_config_path), "--coeffs", str(coeffs), "--out", str(tmp_path / "o")]
+    assert main([command] + args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "JSON object" in err
+
+
 def test_simulate_missing_coeffs_exits_2(tmp_path, desk_config_path, capsys):
     code = main(
         [
@@ -130,10 +179,9 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
 
 
 def test_simulate_infeasible_everywhere_exits_3(tmp_path, capsys):
-    # the literal-radians radius makes dR/ds <= 0 on all of [0, 1): the
-    # undeformed ring aligns nowhere
-    cfgfile = tmp_path / "radians.cfg"
-    cfgfile.write_text("J = 2\nK = 2\nn_s = 16\nn_time = 8\nangle_convention = radians\n")
+    # the alignment cosine never exceeds 1, so eps_align = 2 aligns nowhere
+    cfgfile = tmp_path / "unaligned.cfg"
+    cfgfile.write_text("J = 2\nK = 2\nn_s = 16\nn_time = 8\neps_align = 2\n")
     code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "alignment" in capsys.readouterr().err
@@ -203,13 +251,11 @@ def test_optimize_without_qmc_phase_exits_2(tmp_path, desk_config_path, capsys):
 
 
 def test_optimize_no_feasible_trial_exits_3(tmp_path, capsys):
-    # under the literal-radians radius the undeformed ring aligns nowhere, and
-    # |c| <= 1 keeps every QMC draw too small to open a column, so
-    # perturb_best has nothing to refine around
-    cfgfile = tmp_path / "radians.cfg"
+    # the alignment cosine never exceeds 1, so under eps_align = 2 no QMC
+    # trial is feasible and perturb_best has nothing to refine around
+    cfgfile = tmp_path / "unaligned.cfg"
     cfgfile.write_text(
-        "J = 2\nK = 2\nn_s = 16\nn_time = 8\nc_max = 1\nangle_convention = radians\n"
-        "n_qmc = 2\nn_refine = 1\n"
+        "J = 2\nK = 2\nn_s = 16\nn_time = 8\neps_align = 2\nn_qmc = 2\nn_refine = 1\n"
     )
     study = tmp_path / "study.jsonl"
     code = main(["optimize", "--config", str(cfgfile), "--study", str(study)])
@@ -217,6 +263,16 @@ def test_optimize_no_feasible_trial_exits_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "infeasible" in err
     assert sum(1 for _ in open(study)) == 2  # the QMC trials stay committed
+
+
+def test_val_seed_not_an_integer_exits_2(tmp_path, desk_config_path, monkeypatch, capsys):
+    monkeypatch.setenv("VAL_SEED", "abc")
+    study = tmp_path / "study.jsonl"
+    code = main(["optimize", "--config", str(desk_config_path), "--study", str(study)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "VAL_SEED" in err
+    assert not study.exists()
 
 
 def test_val_seed_env_overrides_flag(tmp_path, desk_config_path, monkeypatch):

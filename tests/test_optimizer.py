@@ -26,7 +26,14 @@ from vortexlab.optimizer import (
     run_study,
     sample_qmc,
 )
-from vortexlab.ring_model import CoefficientTensor, RingConfig, kinematics_at, transport_gamma
+from vortexlab.ring_model import (
+    CoefficientTensor,
+    RingConfig,
+    kinematics_at,
+    radius_profile,
+    radius_profile_deriv,
+    transport_gamma,
+)
 from vortexlab.wave_dynamics import axis_field
 
 DESK = RingConfig(J=4, K=6, n_s=64, n_time=32)
@@ -434,21 +441,24 @@ def test_resume_drops_torn_final_record_at_every_offset(tiny_ring, tmp_path):
 
 
 def test_sigma_adaptation_one_fifth_rule(space):
+    def sigma(history):
+        return optimizer._refine_state(history, space.c_max)[0]
+
     coeffs = [0.0] * space.dim
     sigma0 = 0.1 * space.c_max
     history = [make_record(0, 0.5, coeffs)]
-    assert optimizer._adapted_sigma(history, space.c_max) == pytest.approx(sigma0)
+    assert sigma(history) == pytest.approx(sigma0)
     # a refine success grows the step, a failure shrinks it
     success = history + [make_record(1, 0.6, coeffs, phase="refine")]
     failure = history + [make_record(1, 0.4, coeffs, phase="refine")]
-    assert optimizer._adapted_sigma(success, space.c_max) > sigma0
-    assert optimizer._adapted_sigma(failure, space.c_max) < sigma0
+    assert sigma(success) > sigma0
+    assert sigma(failure) < sigma0
     # one success in five refine trials leaves sigma unchanged
     scores = [0.6, 0.4, 0.39, 0.38, 0.37]
     neutral = history + [
         make_record(i + 1, s, coeffs, phase="refine") for i, s in enumerate(scores)
     ]
-    assert optimizer._adapted_sigma(neutral, space.c_max) == pytest.approx(sigma0)
+    assert sigma(neutral) == pytest.approx(sigma0)
 
 
 def test_refine_center_ties_go_to_first_maximum(space):
@@ -459,17 +469,22 @@ def test_refine_center_ties_go_to_first_maximum(space):
         make_record(3, 0.9, np.full(space.dim, 4.0), feasible_fraction=0.0),
         make_record(4, 0.7, np.full(space.dim, 5.0), phase="refine"),
     ]
-    assert optimizer._best_record(history[:3]).trial_id == 1
+    assert optimizer._refine_state(history[:3], space.c_max)[1].trial_id == 1
+    sigma, best_feasible, best_refine = optimizer._refine_state(history, space.c_max)
+    assert (best_feasible.trial_id, best_refine.trial_id) == (1, 4)
     # the infeasible 0.9 is skipped; of the three 0.7s the first is the center
     got = propose_refinements(history, 2, seed=(0, 5), space=space)
     rng = np.random.default_rng(np.random.SeedSequence((0, 5)))
-    sigma = optimizer._adapted_sigma(history, space.c_max)
     for tensor in got:
         want = space.clip(2.0 + sigma * rng.standard_normal(space.dim))
         np.testing.assert_array_equal(tensor.flatten(), want)
 
 
 def test_adapted_sigma_matches_reference_loop_with_interleaved_phases(space):
+    def first_max(records):
+        # max keeps the first of equal scores
+        return max(records, key=lambda rec: rec.score) if records else None
+
     def reference(history, c_max):
         sigma = optimizer.REFINE_SIGMA_INIT_FACTOR * c_max
         best_so_far = -np.inf
@@ -477,17 +492,26 @@ def test_adapted_sigma_matches_reference_loop_with_interleaved_phases(space):
             if rec.phase == "refine":
                 sigma *= 2.0**0.5 if rec.score > best_so_far else 2.0**-0.125
             best_so_far = max(best_so_far, rec.score)
-        return float(np.clip(sigma, 1e-6 * c_max, c_max))
+        return (
+            float(np.clip(sigma, 1e-6 * c_max, c_max)),
+            first_max([rec for rec in history if rec.feasible_fraction > 0.0]),
+            first_max([rec for rec in history if rec.phase == "refine"]),
+        )
 
     rng = np.random.default_rng(4)
     for n in (1, 2, 7, 60, 400):
         # few distinct scores, so ties with the best so far are common
         scores = rng.choice([0.0, 0.1, 0.25, 0.5, 0.9], size=n)
         phases = rng.choice(["qmc", "refine"], size=n)
+        fractions = rng.choice([0.0, 0.5], size=n)
         history = [
-            make_record(i, float(s), [], phase=str(p)) for i, (s, p) in enumerate(zip(scores, phases))
+            make_record(i, float(s), [], phase=str(p), feasible_fraction=float(f))
+            for i, (s, p, f) in enumerate(zip(scores, phases, fractions))
         ]
-        assert optimizer._adapted_sigma(history, space.c_max) == reference(history, space.c_max)
+        sigma, best_feasible, best_refine = optimizer._refine_state(history, space.c_max)
+        want_sigma, want_feasible, want_refine = reference(history, space.c_max)
+        assert sigma == want_sigma
+        assert best_feasible is want_feasible and best_refine is want_refine
 
 
 def row_tensor(row, ring):
@@ -513,22 +537,58 @@ def test_feasibility_ceiling_desk():
     assert np.all(ceiling.feasible[undeformed.feasible])
 
 
+def closed_form_row_feasibility(row, ring):
+    """Feasibility mask of a j=0 gamma1 row tensor, derived apart from the trial path.
+
+    Such a tensor has gamma1 = (t - t0) f(s) and gamma2 = 0, so at time t the
+    trajectory velocity is (Gamma'(t) + f) e_r and the ring tangent is
+    (R_s + (t - t0) f_s) e_r + 2 pi (R + Gamma(t) + (t - t0) f) e_theta.  A
+    column aligns at t where the cosine between them exceeds eps_align, and
+    is feasible where it aligns at t0 and at t0 +- fd_step.
+    """
+    k = np.arange(ring.K + 1)
+    ang = 2.0 * np.pi * np.outer(ring.s_grid, k)
+    sin_row, cos_row = np.asarray(row, dtype=float)
+    f = (np.sin(ang) @ sin_row + np.cos(ang) @ cos_row) / (ring.K + 1.0)
+    f_s = 2.0 * np.pi * (np.cos(ang) @ (k * sin_row) - np.sin(ang) @ (k * cos_row)) / (ring.K + 1.0)
+    r = radius_profile(ring.s_grid, ring.delta)
+    r_s = radius_profile_deriv(ring.s_grid, ring.delta)
+    feasible = np.ones(ring.n_s, dtype=bool)
+    for dt in (-ring.fd_step, 0.0, ring.fd_step):
+        g, g_t, _, _ = transport_gamma(ring.t0 + dt)
+        radial = r_s + dt * f_s
+        tangential = 2.0 * np.pi * (r + g + dt * f)
+        cosine = radial * np.sign(g_t + f) / np.hypot(radial, tangential)
+        feasible &= cosine > ring.eps_align
+    return feasible
+
+
+def test_row_feasibility_zero_speed_is_infeasible_everywhere():
+    # a constant f = -Gamma'(t0) stops every trajectory at t0
+    row = np.zeros((2, DESK.K + 1))
+    row[1, 0] = -(DESK.K + 1.0) * transport_gamma(DESK.t0)[1]
+    with pytest.raises(ZeroSpeed):
+        axis_field(row_tensor(row, DESK), DESK)
+    assert not np.any(row_feasibility(row, DESK))
+
+
 def test_row_feasibility_includes_stencil_gate():
     # a coarse rate stencil makes the t0 +- h gate bite on random rows
     coarse = dataclasses.replace(DESK, fd_step_factor=2.0**-3)
     at_t0_only = dataclasses.replace(DESK, fd_step_factor=1e-30)
     rng = np.random.default_rng(3)
     gated = 0
-    for _ in range(2):
+    for _ in range(8):
         row = rng.uniform(-DESK.c_max, DESK.c_max, (2, DESK.K + 1))
-        predicted = row_feasibility(row, coarse)
-        field = axis_field(row_tensor(row, coarse), coarse)
-        np.testing.assert_array_equal(predicted, field.feasible)
-        gated += int(np.count_nonzero(row_feasibility(row, at_t0_only) & ~predicted))
+        for ring in (DESK, coarse, at_t0_only):
+            want = closed_form_row_feasibility(row, ring)
+            np.testing.assert_array_equal(row_feasibility(row, ring), want)
+        gated += int(np.count_nonzero(row_feasibility(row, at_t0_only) & ~row_feasibility(row, coarse)))
     assert gated > 0
     ceiling = feasibility_ceiling(coarse)
     field = axis_field(row_tensor(ceiling.row, coarse), coarse)
     np.testing.assert_array_equal(ceiling.feasible, field.feasible)
+    np.testing.assert_array_equal(ceiling.feasible, closed_form_row_feasibility(ceiling.row, coarse))
     # the LP's stencil constraint keeps every undeformed column open
     undeformed = row_feasibility(np.zeros((2, DESK.K + 1)), coarse)
     assert np.all(ceiling.feasible[undeformed])

@@ -38,21 +38,14 @@ def test_radius_profile_values():
 
 def test_radius_profile_periodic_under_turns():
     s = np.linspace(0, 1, 13)
-    np.testing.assert_allclose(
-        radius_profile(s, 0.02, "turns"), radius_profile(s + 1.0, 0.02, "turns"), rtol=1e-14
-    )
-    # the literal radians reading is available and differs
-    assert radius_profile(0.25, 0.02, "radians") != pytest.approx(
-        radius_profile(0.25, 0.02, "turns")
-    )
+    np.testing.assert_allclose(radius_profile(s, 0.02), radius_profile(s + 1.0, 0.02), rtol=1e-14)
 
 
 def test_radius_profile_deriv_matches_fd():
     h = 1e-6
-    for conv in ("turns", "radians"):
-        for s in (0.03, 0.2, 0.61, 0.9):
-            fd = (radius_profile(s + h, 0.02, conv) - radius_profile(s - h, 0.02, conv)) / (2 * h)
-            assert radius_profile_deriv(s, 0.02, conv) == pytest.approx(fd, abs=1e-8)
+    for s in (0.03, 0.2, 0.61, 0.9):
+        fd = (radius_profile(s + h, 0.02) - radius_profile(s - h, 0.02)) / (2 * h)
+        assert radius_profile_deriv(s, 0.02) == pytest.approx(fd, abs=1e-8)
 
 
 def test_transport_gamma_values():
@@ -299,5 +292,3 @@ def test_ring_config_validation():
         RingConfig(delta=1.0)
     with pytest.raises(ValueError):
         RingConfig(c_max=0.0)
-    with pytest.raises(ValueError):
-        RingConfig(angle_convention="degrees")

@@ -242,7 +242,7 @@ def test_axis_field_axes_on_access_match_cartesian_reference(scale):
 
 @pytest.mark.parametrize(
     "change",
-    [{"n_time": 16}, {"fd_step_factor": 2.0**-12}, {"delta": 0.05}, {"angle_convention": "radians"}],
+    [{"n_time": 16}, {"fd_step_factor": 2.0**-12}, {"delta": 0.05}, {"K": 3}],
 )
 def test_trial_grid_constants_cached_per_config(change):
     cfg = RingConfig(J=2, K=2, n_s=16, n_time=8)
