@@ -58,7 +58,6 @@ from .wave_dynamics import (
     aligned_initial_state,
     axis_field,
     initial_corr_rate,
-    integrate_alpha,
     integrate_wave_system,
     solve_initial_alignment,
 )
@@ -108,7 +107,6 @@ __all__ = [
     "aligned_initial_state",
     "axis_field",
     "initial_corr_rate",
-    "integrate_alpha",
     "integrate_wave_system",
     "solve_initial_alignment",
 ]

@@ -24,7 +24,13 @@ import numpy as np
 
 from . import __version__
 from .madc import madc
-from .optimizer import CorruptTrialLog, NoFeasibleHistory, StudyConfig, run_study
+from .optimizer import (
+    CorruptTrialLog,
+    DimensionTooLarge,
+    NoFeasibleHistory,
+    StudyConfig,
+    run_study,
+)
 from .plots import render_ring_svg
 from .ring_model import CoefficientTensor, RingConfig, phi_eval
 from .spectral import dominant_mode_count, mode_energies, write_spectrum_csv
@@ -250,6 +256,9 @@ def cmd_optimize(args) -> int:
     except NoFeasibleHistory as exc:
         print(f"error: infeasible everywhere: {exc}", file=sys.stderr)
         return 3
+    except DimensionTooLarge as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"error: study log {log_path}: {exc}", file=sys.stderr)
         return 2

@@ -8,9 +8,9 @@ form derivatives are supplied by the caller (see :mod:`vortexlab.ring_model`).
 :func:`frame_from_derivatives` is the generic routine: its vector arguments
 are numpy arrays with a trailing axis of length 3 (a single point is a shape
 ``(3,)`` array, a batch of N points ``(N, 3)``), and scalar outputs follow the
-leading shape of the inputs.  ``_meridional_kinematics`` computes the same
-quantities from scalar components for trajectories that stay in one
-meridional half-plane, as the ring's transport trajectories do.
+leading shape of the inputs; the tests hold the trial path to it.
+``_speed_curvature`` and ``_meridional_frame`` are the trial path's kernels,
+on the scalar components of trajectories in one meridional half-plane.
 """
 
 from __future__ import annotations
@@ -99,8 +99,7 @@ class TrajectoryKinematics:
     derivatives, ``kappa_t`` the time derivative of curvature.
     ``degenerate`` flags points where curvature fell below the frame
     threshold; there the normal comes from the fallback convention and
-    torsion is 0.  ``frame`` is a Cartesian :class:`FrenetFrame`, or a
-    :class:`MeridionalFrame` straight from ``_meridional_kinematics``.
+    torsion is 0.
     """
 
     v: float | np.ndarray
@@ -109,7 +108,7 @@ class TrajectoryKinematics:
     kappa: float | np.ndarray
     kappa_t: float | np.ndarray
     torsion: float | np.ndarray
-    frame: FrenetFrame | MeridionalFrame
+    frame: FrenetFrame
     degenerate: bool | np.ndarray
 
 
@@ -209,7 +208,12 @@ def frame_from_derivatives(
 
 
 def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V) -> tuple:
-    """(v, v', W, kappa) from the first two derivatives (see :func:`_meridional_kinematics`)."""
+    """(v, v', W, kappa) from the e_r (a) and e_z (b) components of d1 and d2.
+
+    With ``W = a1 b2 - b1 a2``, ``d1 x d2 = -W e_theta``, so
+    ``kappa = |W| / v^3`` and the torsion is exactly 0.  Raises ZeroSpeed
+    where v <= eps_v.
+    """
     v = np.hypot(a1, b1)
     if np.any(v <= eps_v):
         raise ZeroSpeed(f"|d1| <= {eps_v}; stationary trajectory point")
@@ -219,7 +223,13 @@ def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V) -> tuple:
 
 
 def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA):
-    """The :class:`MeridionalFrame` of :func:`_meridional_kinematics`, fallback included."""
+    """The frame of :func:`frame_from_derivatives` as a :class:`MeridionalFrame`.
+
+    Regular points have ``n = sign(W) m``; where kappa < eps_kappa the
+    fallback gives ``n = unit(z_hat x tau) = sign(a1) e_theta``, or
+    ``unit(x_hat x tau)`` where tau is nearly vertical (``azimuth`` is the
+    angle of e_r from the x axis).
+    """
     degenerate = kappa < eps_kappa
     tau_r, tau_z = a1 / v, b1 / v
     # sign(a1) e_theta = -sign(a1) w on degenerate points
@@ -234,51 +244,3 @@ def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_E
         n_m = np.where(vertical, along_m / norm, n_m)
         n_w = np.where(vertical, along_w / norm, n_w)
     return MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w)
-
-
-def _meridional_kinematics(
-    a,
-    b,
-    azimuth,
-    eps_kappa: float = DEFAULT_EPS_KAPPA,
-    eps_v: float = DEFAULT_EPS_V,
-) -> TrajectoryKinematics:
-    """:func:`frame_from_derivatives` for a trajectory in its meridional half-plane.
-
-    ``a[k - 1]`` and ``b[k - 1]`` (k = 1, 2, 3) are the e_r and e_z
-    components of the k-th time derivative of the position; ``azimuth`` is
-    the angle of e_r from the x axis.  With ``W = a1 b2 - b1 a2``,
-    ``d1 x d2 = -W e_theta``, so
-
-        v       = hypot(a1, b1)
-        kappa   = |W| / v^3
-        kappa'  = sign(W) (a1 b3 - a3 b1) / v^3 - 3 kappa v' / v
-
-    and torsion is exactly 0.  Regular points have ``n = sign(W) m``,
-    ``b = -sign(W) e_theta`` (m as in :class:`MeridionalFrame`).  Where
-    kappa < eps_kappa the fallback of :func:`frame_from_derivatives` applies
-    unchanged: ``n = unit(z_hat x tau) = sign(a1) e_theta``, or
-    ``unit(x_hat x tau)`` with ``x_hat = cos(azimuth) e_r - sin(azimuth)
-    e_theta`` where tau is nearly vertical.  The frame is returned as a
-    :class:`MeridionalFrame`.
-
-    Raises
-    ------
-    ZeroSpeed
-        If any point has v <= eps_v.
-    """
-    a1, a2, a3 = a
-    b1, b2, b3 = b
-    v, v_t, w, kappa = _speed_curvature(a1, a2, b1, b2, eps_v)
-    v_tt = (a2 * a2 + b2 * b2 + a1 * a3 + b1 * b3 - v_t**2) / v
-    kappa_t = np.sign(w) * (a1 * b3 - a3 * b1) / v**3 - 3.0 * kappa * v_t / v
-    degenerate = kappa < eps_kappa
-    frame = _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa)
-    torsion = np.zeros_like(v)
-
-    if v.ndim == 0:
-        v, v_t, v_tt = float(v), float(v_t), float(v_tt)
-        kappa, kappa_t, torsion = float(kappa), float(kappa_t), float(torsion)
-        degenerate = bool(degenerate)
-
-    return TrajectoryKinematics(v, v_t, v_tt, kappa, kappa_t, torsion, frame, degenerate)

@@ -9,14 +9,15 @@ with an elliptic initial radius R, a radial transport profile
 Gamma(t) = 1 - cos(12*pi*t), and a Fourier-polynomial deformation pair
 (gamma1, gamma2) controlled by a learnable coefficient tensor.  All time
 derivatives up to third order, plus the angular derivative, are evaluated in
-closed form, and so is every trajectory quantity built from them (see
-:func:`kinematics_at`).
+closed form.
 
 The transport moves every point within its meridional half-plane
 span{e_r(s), e_z}, so Phi and its time derivatives are carried as two scalar
-components, the trajectory torsion is 0 and the binormal is +-e_theta (or
-the fallback of :func:`vortexlab.geometry.frame_from_derivatives` on
-straight stretches).  Cartesian vectors are formed only where asked for.
+components and Cartesian vectors are formed only where asked for.  The
+trial path (``_RowGrid``) computes the trajectory kinematics from those
+components, where the torsion is 0 and the binormal is +-e_theta (or the
+fallback of :func:`vortexlab.geometry.frame_from_derivatives` on straight
+stretches).  :func:`kinematics_at` is the generic Cartesian reference.
 
 ``t`` and ``s`` arguments may be scalars or 1-d arrays; outputs have shape
 ``t.shape + s.shape`` and vector outputs carry a trailing axis of length 3.
@@ -31,12 +32,9 @@ from pathlib import Path
 
 import numpy as np
 
-# frame_from_derivatives stays a module attribute: perfbench/tracer.py patches it here
-from .geometry import (  # noqa: F401
-    FrenetFrame,
+from .geometry import (
     TrajectoryKinematics,
     _meridional_frame,
-    _meridional_kinematics,
     _speed_curvature,
     frame_from_derivatives,
 )
@@ -53,7 +51,6 @@ __all__ = [
     "phi_eval",
     "kinematics_at",
     "embed",
-    "embed_kinematics",
 ]
 
 
@@ -80,6 +77,10 @@ class RingConfig:
     fd_step_factor: float = 2.0**-10
 
     def __post_init__(self):
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not np.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if not self.t0 < self.t1:
             raise ValueError(f"t0 must be < t1, got [{self.t0}, {self.t1}]")
         if self.n_time < 2:
@@ -92,6 +93,8 @@ class RingConfig:
             raise ValueError(f"c_max must be > 0, got {self.c_max}")
         if self.J < 0 or self.K < 0:
             raise ValueError(f"J, K must be >= 0, got J={self.J}, K={self.K}")
+        if self.fd_step_factor <= 0.0:
+            raise ValueError(f"fd_step_factor must be > 0, got {self.fd_step_factor}")
 
     @property
     def fd_step(self) -> float:
@@ -197,12 +200,6 @@ def embed(components, s) -> np.ndarray:
     return out
 
 
-def embed_kinematics(kin: TrajectoryKinematics, s) -> TrajectoryKinematics:
-    """``kin`` with its MeridionalFrame replaced by the Cartesian FrenetFrame at s."""
-    axes = [embed(kin.frame.vector(*unit), s) for unit in np.eye(3)]
-    return dataclasses.replace(kin, frame=FrenetFrame(*axes))
-
-
 @dataclass(frozen=True)
 class RingPoint:
     """Phi and its derivatives on a (t, s) grid (either axis may be scalar).
@@ -242,11 +239,6 @@ class RingPoint:
     @property
     def ds(self) -> np.ndarray:
         return embed((self.radial_s, 2.0 * np.pi * self.radial[0], self.vertical_s), self.s)
-
-    def kinematics(self, cfg: RingConfig) -> TrajectoryKinematics:
-        """Trajectory kinematics at these points (see :func:`kinematics_at`)."""
-        args = self.radial[1:], self.vertical[1:], _azimuth(self.s), cfg.eps_kappa, cfg.eps_v
-        return embed_kinematics(_meridional_kinematics(*args), self.s)
 
 
 @dataclass(frozen=True)
@@ -372,14 +364,15 @@ def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
 
 
 def kinematics_at(t, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKinematics:
-    """Full kinematics of the transport trajectories through (t, s), all closed form.
+    """Generic kinematics of the transport trajectories through (t, s): the reference.
 
-    ``t`` is a scalar or a 1-d array of times (see :func:`phi_eval`).  The
-    torsion is exactly 0 and the frame is Cartesian.  Raises ZeroSpeed when
-    the trajectory speed vanishes at any point; callers treat that as an
-    infeasible trial.
+    :func:`vortexlab.geometry.frame_from_derivatives` of the closed-form
+    Cartesian derivatives of :func:`phi_eval`; ``t`` is a scalar or a 1-d
+    array of times.  Raises ZeroSpeed when the trajectory speed vanishes at
+    any point.
     """
-    return phi_eval(t, s, c, cfg).kinematics(cfg)
+    p = phi_eval(t, s, c, cfg)
+    return frame_from_derivatives(p.d1, p.d2, p.d3, cfg.eps_kappa, cfg.eps_v)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,13 @@ The trajectories stay in their meridional half-planes, so the grid path
 works on scalar components: the kinematics, the frame and zeta*'s
 components (a, b, c) along (tau, n, b) come from one product of the
 coefficients with a ``ring_model._RowGrid`` (for trials, cached per config).
-Cartesian axes are formed only on :class:`AxisField` access and in
-:func:`integrate_alpha`.
+Cartesian axes are formed only on :class:`AxisField` access.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -51,7 +50,6 @@ __all__ = [
     "aligned_initial_state",
     "initial_corr_rate",
     "integrate_wave_system",
-    "integrate_alpha",
     "axis_field",
     "wave_coefficients",
 ]
@@ -74,8 +72,9 @@ class AxisField:
 
     ``corr[i, j]`` is NaN on infeasible columns; ``feasible`` marks columns
     where the initial alignment (including its finite-difference rate
-    stencil) succeeded.  ``swirl`` and ``tangent`` hold the unit axes along the
-    node ``frame``'s (tau, n, b); ``zeta_hat`` and ``zeta_star_hat`` embed them.
+    stencil) succeeded.  ``alpha1``, ``alpha2`` (the node solution, NaN on
+    infeasible columns) and ``tangent`` (the unit ring tangent along the node
+    ``frame``'s tau, n, b) give the unit axes ``zeta_hat`` and ``zeta_star_hat``.
     """
 
     t_nodes: np.ndarray
@@ -83,12 +82,13 @@ class AxisField:
     corr: np.ndarray
     feasible: np.ndarray
     frame: MeridionalFrame
-    swirl: tuple
+    alpha1: np.ndarray
+    alpha2: np.ndarray
     tangent: tuple
 
     @property
     def zeta_hat(self) -> np.ndarray:
-        return embed(self.frame.vector(*self.swirl), self.s_grid)
+        return embed(self.frame.vector(*_swirl_axis(self.alpha1, self.alpha2)), self.s_grid)
 
     @property
     def zeta_star_hat(self) -> np.ndarray:
@@ -209,14 +209,6 @@ def _trial_grid(cfg: RingConfig) -> _RowGrid:
     return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
 
 
-def _take(rows, idx):
-    """Rows ``idx`` of every array in a (nested) dataclass of time-stacked arrays."""
-    values = {f.name: getattr(rows, f.name) for f in fields(rows)}
-    return type(rows)(
-        **{k: _take(v, idx) if is_dataclass(v) else v[idx] for k, v in values.items()}
-    )
-
-
 def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
     """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
 
@@ -268,22 +260,6 @@ def _propagate(speed: tuple, rows, init: AlphaState, width) -> tuple:
     alpha1_t = (v_t * alpha1 + 2.0 * v * v * kappa + c1) / v
     alpha2_t = (v_t * alpha2 + c2) / v
     return alpha1, alpha2, alpha1_t, alpha2_t
-
-
-def integrate_alpha(c: CoefficientTensor, cfg: RingConfig, init: AlphaState) -> tuple:
-    """Time series of the wave-equation state over [t0, t1], solved in closed form.
-
-    ``init`` holds the state at t0 over ``cfg.s_grid``.  Returns the
-    ``cfg.n_time + 1`` states and the kinematics at those nodes, both from
-    one grid evaluation over the half-step rows of ``_rk4_abscissae`` (t0,
-    then midpoint and endpoint per step, so the even rows are the nodes).
-    ZeroSpeed from the kinematics propagates (infeasible trial).
-    """
-    kin = kinematics_at(_rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time), cfg.s_grid, c, cfg)
-    width = (cfg.t1 - cfg.t0) / cfg.n_time
-    solution = _propagate((kin.v, kin.v_t, kin.kappa), slice(None), init, width)
-    states = [AlphaState(t, *state) for t, *state in zip(cfg.t_grid, *solution)]
-    return states, [_take(kin, i) for i in range(0, 2 * cfg.n_time + 1, 2)]
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
@@ -353,7 +329,8 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
         s_grid=cfg.s_grid,
         corr=corr,
         feasible=feasible,
-        frame=_take(frame, slice(2, None)),
-        swirl=swirl,
+        frame=MeridionalFrame(frame.tau_r[2:], frame.tau_z[2:], frame.n_m[2:], frame.n_w[2:]),
+        alpha1=alpha1,
+        alpha2=alpha2,
         tangent=tangent,
     )

@@ -178,6 +178,30 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("line", ["c_max = inf", "c_max = nan", "fd_step_factor = 0"])
+@pytest.mark.parametrize("command", ["simulate", "optimize"])
+def test_non_finite_or_zero_step_exits_2(tmp_path, desk_config_path, capsys, command, line):
+    # invalid input, not a traceback in optimize or a NaN score from simulate
+    cfgfile = tmp_path / "bad.cfg"
+    cfgfile.write_text(desk_config_path.read_text() + line + "\n")
+    out = tmp_path / "o"
+    args = {"simulate": ["--out", str(out)], "optimize": ["--study", str(out / "study.jsonl")]}
+    assert main([command, "--config", str(cfgfile)] + args[command]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and line.split()[0] in err
+    assert not out.exists()
+
+
+def test_optimize_dimension_above_sobol_limit_exits_2(tmp_path, capsys):
+    # dim = 4 (J + 1) (K + 1) = 22020 exceeds the Sobol limit of 21201
+    cfgfile = tmp_path / "huge.cfg"
+    cfgfile.write_text("J = 1100\nK = 4\nn_s = 16\nn_time = 8\nn_qmc = 1\nn_refine = 0\n")
+    code = main(["optimize", "--config", str(cfgfile), "--study", str(tmp_path / "study.jsonl")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Sobol limit" in err
+
+
 def test_simulate_infeasible_everywhere_exits_3(tmp_path, capsys):
     # the alignment cosine never exceeds 1, so eps_align = 2 aligns nowhere
     cfgfile = tmp_path / "unaligned.cfg"

@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from vortexlab.geometry import (
+    DEFAULT_EPS_KAPPA,
     ZeroSpeed,
-    _meridional_kinematics,
+    _meridional_frame,
+    _speed_curvature,
     frame_from_derivatives,
 )
-from vortexlab.ring_model import embed_kinematics
+from vortexlab.ring_model import embed
 
 from oracles import fd_curvature_torsion, richardson_time_derivative
 
@@ -225,20 +227,15 @@ def test_meridional_kernel_matches_generic_frame():
     d1, d2, d3 = (a[k][:, None] * e_r + b[k][:, None] * np.array([0.0, 0.0, 1.0]) for k in range(3))
 
     oracle = frame_from_derivatives(d1, d2, d3)
-    kin = _meridional_kinematics(a, b, azimuth)
-    np.testing.assert_array_equal(kin.degenerate, oracle.degenerate)
-    np.testing.assert_array_equal(kin.degenerate, np.arange(n) >= 100)
-    assert np.all(kin.torsion == 0.0)
+    v, v_t, w, kappa = _speed_curvature(a[0], a[1], b[0], b[1])
+    np.testing.assert_array_equal(kappa < DEFAULT_EPS_KAPPA, oracle.degenerate)
+    np.testing.assert_array_equal(oracle.degenerate, np.arange(n) >= 100)
     # the inputs are O(1), so an absolute 1e-12 is relative to their scale
-    for name in ("v", "v_t", "v_tt", "kappa"):
-        np.testing.assert_allclose(getattr(kin, name), getattr(oracle, name), rtol=1e-12, atol=1e-12)
-    # kappa' relative to the size of its terms; where W = 0 the oracle's d1 x d2
-    # is rounding noise and its rate term reads that noise, the kernel's is exactly 0
-    scale = np.linalg.norm(d1, axis=-1) * np.linalg.norm(d3, axis=-1) / kin.v**3
-    assert np.all(np.abs(kin.kappa_t - oracle.kappa_t) <= 1e-12 * (scale + np.abs(kin.kappa_t)))
-    assert np.all(kin.kappa_t[100:] == 0.0)
-    frame = embed_kinematics(kin, s).frame
-    for name in ("tau", "n", "b"):
-        np.testing.assert_allclose(getattr(frame, name), getattr(oracle.frame, name), rtol=0, atol=1e-12)
+    for got, name in ((v, "v"), (v_t, "v_t"), (kappa, "kappa")):
+        np.testing.assert_allclose(got, getattr(oracle, name), rtol=1e-12, atol=1e-12)
+    frame = _meridional_frame(a[0], b[0], v, w, kappa, azimuth)
+    for unit, name in zip(np.eye(3), ("tau", "n", "b")):
+        axis = embed(frame.vector(*unit), s)
+        np.testing.assert_allclose(axis, getattr(oracle.frame, name), rtol=0, atol=1e-12)
     # the vertical rows took the x_hat branch: n has an e_r component there
-    assert np.all(np.abs(kin.frame.n_m[200:]) > 0.0)
+    assert np.all(np.abs(frame.n_m[200:]) > 0.0)

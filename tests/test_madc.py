@@ -16,7 +16,8 @@ def synthetic_field(cfg, corr, feasible):
         corr=np.where(feasible[None, :], corr, np.nan),
         feasible=feasible,
         frame=None,
-        swirl=None,
+        alpha1=None,
+        alpha2=None,
         tangent=None,
     )
 

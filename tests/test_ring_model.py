@@ -9,12 +9,14 @@ from vortexlab.ring_model import (
     CoefficientTensor,
     RingConfig,
     deformation_eval,
+    embed,
     kinematics_at,
     phi_eval,
     radius_profile,
     radius_profile_deriv,
     transport_gamma,
 )
+from vortexlab.wave_dynamics import _rate_stencil, _rk4_abscissae, _trial_grid
 
 from oracles import fd_derivatives, richardson_time_derivative
 
@@ -157,23 +159,32 @@ def test_kinematics_baseline_straight_rays():
     np.testing.assert_allclose(kin.v_t, 0.0, atol=1e-9)
 
 
-def test_kinematics_at_matches_generic_frame_with_zero_torsion(desk_cfg):
+def test_trial_grid_matches_generic_frame(desk_cfg):
+    # the trial path's meridional kernels against the generic Cartesian
+    # routine at the grid's own rows: the rate-stencil times, then the RK4 abscissae
     c = random_tensor(np.random.default_rng(15), desk_cfg, scale=5.0)
-    times, s = desk_cfg.t_grid, desk_cfg.s_grid
-    kin = kinematics_at(times, s, c, desk_cfg)
-    p = phi_eval(times, s, c, desk_cfg)
+    times = np.concatenate(
+        [_rate_stencil(desk_cfg)[::2], _rk4_abscissae(desk_cfg.t0, desk_cfg.t1, desk_cfg.n_time)]
+    )
+    grid = _trial_grid(desk_cfg)
+    speed, frame, tangent = grid.evaluate(c, desk_cfg)
+    p = phi_eval(times, desk_cfg.s_grid, c, desk_cfg)
     oracle = frame_from_derivatives(p.d1, p.d2, p.d3, desk_cfg.eps_kappa, desk_cfg.eps_v)
-    assert np.all(kin.torsion == 0.0)
-    np.testing.assert_array_equal(kin.degenerate, oracle.degenerate)
-    for name in ("v", "v_t", "v_tt", "kappa", "kappa_t"):
+    np.testing.assert_array_equal(speed[2] < desk_cfg.eps_kappa, oracle.degenerate)
+    for got, name in zip(speed, ("v", "v_t", "kappa")):
         want = getattr(oracle, name)
-        np.testing.assert_allclose(getattr(kin, name), want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
-    # the generic b = unit(d1 x d2) carries rounding of relative size |d1| |d2| / |d1 x d2|
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
+    # the frame and the unit ring tangent on the tangent rows; the generic
+    # b = unit(d1 x d2) carries rounding of relative size |d1| |d2| / |d1 x d2|
+    rows = grid.tangent_rows
     cond = np.linalg.norm(p.d1, axis=-1) * np.linalg.norm(p.d2, axis=-1) / (oracle.kappa * oracle.v**3)
-    cond = np.where(oracle.degenerate, 1.0, cond)[..., None]
-    for name in ("tau", "n", "b"):
-        error = np.abs(getattr(kin.frame, name) - getattr(oracle.frame, name))
-        assert np.all(error <= 1e-12 * cond), name
+    cond = np.where(oracle.degenerate, 1.0, cond)[rows]
+    axes = [getattr(oracle.frame, name)[rows] for name in ("tau", "n", "b")]
+    ds = p.ds[rows] / np.linalg.norm(p.ds[rows], axis=-1, keepdims=True)
+    for unit, axis, component in zip(np.eye(3), axes, tangent):
+        error = np.abs(embed(frame.vector(*unit), desk_cfg.s_grid) - axis)
+        assert np.all(error <= 1e-12 * cond[..., None])
+        assert np.all(np.abs(component - np.sum(ds * axis, axis=-1)) <= 1e-12 * cond)
 
 
 def test_kinematics_kappa_matches_sampled_trajectory(desk_cfg):
@@ -292,3 +303,11 @@ def test_ring_config_validation():
         RingConfig(delta=1.0)
     with pytest.raises(ValueError):
         RingConfig(c_max=0.0)
+    # every float field must be finite, and the stencil step positive
+    for name in ("delta", "t0", "t1", "c_max", "eps_v", "eps_kappa", "eps_align", "fd_step_factor"):
+        for value in (float("inf"), float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match=f"{name} must be finite"):
+                RingConfig(**{name: value})
+    for value in (0.0, -(2.0**-10)):
+        with pytest.raises(ValueError, match="fd_step_factor must be > 0"):
+            RingConfig(fd_step_factor=value)
