@@ -5,7 +5,8 @@ search), render (SVG figures from a simulation grid), spectrum (deformation
 mode energies), verify (derivation identity checks).
 
 Exit codes: 0 success, 1 failed verification, 2 unreadable/invalid input,
-3 infeasible-everywhere field, 4 corrupt resume log.
+3 infeasible-everywhere field, 4 corrupt resume log.  Commands raise; ``main``
+turns the exceptions in ``_EXIT_CODES`` into codes 2-4 and one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .geometry import ZeroSpeed
 from .madc import madc
 from .optimizer import (
     CorruptTrialLog,
@@ -39,33 +41,43 @@ from .wave_dynamics import axis_field, AxisField
 
 GRID_HEADER = ["t", "s", "x", "y", "z", "zsx", "zsy", "zsz", "zx", "zy", "zz", "corr", "feasible"]
 
+# config key -> its field's annotation ("int", "float" or "str")
 _RING_FIELDS = {f.name: f.type for f in dataclasses.fields(RingConfig)}
 _STUDY_FIELDS = {f.name: f.type for f in dataclasses.fields(StudyConfig)}
-_INT_KEYS = {"J", "K", "n_time", "n_s", "n_qmc", "n_refine", "seed", "parallel_width"}
-_STR_KEYS = {"strategy"}
+_JSON_KINDS = {"int": (int,), "float": (int, float), "str": (str,)}
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _parse_scalar(key: str, raw):
-    """A config value of ``key``: text is parsed, a JSON value must have the key's type.
+# exception -> (exit code, message prefix); any other exception is a bug and keeps its traceback
+_EXIT_CODES = {
+    ConfigError: (2, ""),
+    DimensionTooLarge: (2, ""),
+    OSError: (2, ""),
+    ZeroSpeed: (3, "infeasible everywhere: "),
+    NoFeasibleHistory: (3, "infeasible everywhere: "),
+    CorruptTrialLog: (4, "cannot resume: "),
+}
 
-    Integer keys take integers, string keys strings and the rest numbers;
-    a bool is refused for any of them.
+
+def _parse_scalar(key: str, kind: str, raw):
+    """A config value annotated ``kind``: text is parsed, a JSON value must have that type.
+
+    Integer fields take integers, string fields strings and float fields
+    numbers; a bool is refused for any of them.
     """
     if not isinstance(raw, str):
-        kinds = (str,) if key in _STR_KEYS else (int,) if key in _INT_KEYS else (int, float)
-        if type(raw) not in kinds:
-            expected = " or ".join(kind.__name__ for kind in kinds)
+        if type(raw) not in _JSON_KINDS[kind]:
+            expected = " or ".join(t.__name__ for t in _JSON_KINDS[kind])
             raise ConfigError(f"config key {key!r}: expected {expected}, got {raw!r}")
         return raw
     raw = raw.strip()
-    if key in _STR_KEYS:
+    if kind == "str":
         return raw
     try:
-        if key in _INT_KEYS:
+        if kind == "int":
             return int(raw)
         if "/" in raw:  # allow fractions like 1/48 for the time window
             num, den = raw.split("/", 1)
@@ -76,10 +88,7 @@ def _parse_scalar(key: str, raw):
 
 
 def _load_config_dict(path: Path) -> dict:
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    text = path.read_text()
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -100,25 +109,23 @@ def _load_config_dict(path: Path) -> dict:
     return data
 
 
-def load_configs(path) -> tuple:
-    """(RingConfig, StudyConfig) from a config file; defaults when path is None.
+def load_configs(path, **study_overrides) -> tuple:
+    """(RingConfig, StudyConfig) from a config file (None: defaults) and flags that override it.
 
     Unknown keys are errors: a misspelled key silently reverting to a
     default is worse than a hard stop.
     """
-    if path is None:
-        return RingConfig(), StudyConfig()
-    data = _load_config_dict(Path(path))
+    data = {} if path is None else _load_config_dict(Path(path))
     ring_kwargs, study_kwargs = {}, {}
     for key, value in data.items():
         if key in _RING_FIELDS:
-            ring_kwargs[key] = _parse_scalar(key, value)
+            ring_kwargs[key] = _parse_scalar(key, _RING_FIELDS[key], value)
         elif key in _STUDY_FIELDS:
-            study_kwargs[key] = _parse_scalar(key, value)
+            study_kwargs[key] = _parse_scalar(key, _STUDY_FIELDS[key], value)
         else:
             raise ConfigError(f"unknown config key {key!r}")
     try:
-        return RingConfig(**ring_kwargs), StudyConfig(**study_kwargs)
+        return RingConfig(**ring_kwargs), StudyConfig(**{**study_kwargs, **study_overrides})
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -127,8 +134,6 @@ def _load_coeffs(path, cfg: RingConfig) -> CoefficientTensor:
     if path is None:
         return CoefficientTensor.zeros(cfg.J, cfg.K)
     p = Path(path)
-    if not p.exists():
-        raise ConfigError(f"coefficient file not found: {p}")
     try:
         tensor = CoefficientTensor.load(p)
     except (ValueError, KeyError, TypeError) as exc:
@@ -141,6 +146,24 @@ def _load_coeffs(path, cfg: RingConfig) -> CoefficientTensor:
     if tensor.max_abs() > cfg.c_max + 1e-12:
         raise ConfigError(f"coefficient file {p} exceeds the bound |c| <= {cfg.c_max}")
     return tensor
+
+
+def _floats(text, what: str) -> np.ndarray:
+    """``text`` (a string, or equal-length lists of them) as floats; ConfigError names ``what``."""
+    try:
+        return np.array(text, dtype=float)
+    except ValueError as exc:
+        raise ConfigError(f"{what} ({exc})") from exc
+
+
+def _time_token(token: str, initial: float, terminal: float) -> float:
+    """The time a ``--time``/``--times`` token names: initial, terminal or a finite number."""
+    if token in ("initial", "terminal"):
+        return initial if token == "initial" else terminal
+    t = float(_floats(token, f"bad time {token!r}"))
+    if not np.isfinite(t):
+        raise ConfigError(f"bad time {token!r}: not finite")
+    return t
 
 
 def _sha256(path: Path) -> str:
@@ -185,13 +208,8 @@ def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None
 
 
 def cmd_simulate(args) -> int:
-    try:
-        ring, study = load_configs(args.config)
-        tensor = _load_coeffs(args.coeffs, ring)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    ring, study = load_configs(args.config)
+    tensor = _load_coeffs(args.coeffs, ring)
     field = axis_field(tensor, ring)
     report = madc(field, ring)
     if report.feasible_fraction == 0.0:
@@ -218,50 +236,29 @@ def cmd_simulate(args) -> int:
     return 0
 
 
+def _val_seed():
+    """The ``VAL_SEED`` environment override of ``--seed``; None when unset or empty."""
+    raw = os.environ.get("VAL_SEED")
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"VAL_SEED={raw!r} is not an integer") from None
+
+
 def cmd_optimize(args) -> int:
-    try:
-        ring, study = load_configs(args.config)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    overrides = {}
-    if args.trials_qmc is not None:
-        overrides["n_qmc"] = args.trials_qmc
-    if args.trials_refine is not None:
-        overrides["n_refine"] = args.trials_refine
-    if os.environ.get("VAL_SEED"):
-        try:
-            overrides["seed"] = int(os.environ["VAL_SEED"])
-        except ValueError:
-            print(f"error: VAL_SEED={os.environ['VAL_SEED']!r} is not an integer", file=sys.stderr)
-            return 2
-    elif args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.parallel is not None:
-        overrides["parallel_width"] = args.parallel
-    try:
-        study = dataclasses.replace(study, **overrides)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
+    seed = _val_seed()
+    flags = {
+        "n_qmc": args.trials_qmc,
+        "n_refine": args.trials_refine,
+        "seed": args.seed if seed is None else seed,
+        "parallel_width": args.parallel,
+    }
+    ring, study = load_configs(args.config, **{k: v for k, v in flags.items() if v is not None})
     log_path = Path(args.study)
     log_path.parent.mkdir(parents=True, exist_ok=True)
-    try:
-        result = run_study(study, ring, log_path)
-    except CorruptTrialLog as exc:
-        print(f"error: cannot resume: {exc}", file=sys.stderr)
-        return 4
-    except NoFeasibleHistory as exc:
-        print(f"error: infeasible everywhere: {exc}", file=sys.stderr)
-        return 3
-    except DimensionTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: study log {log_path}: {exc}", file=sys.stderr)
-        return 2
+    result = run_study(study, ring, log_path)
 
     out_dir = log_path.parent
     best = CoefficientTensor.from_flat(np.array(result.best.coeffs), ring.J, ring.K)
@@ -275,53 +272,29 @@ def cmd_optimize(args) -> int:
     return 0
 
 
-def _read_grid_csv(path: Path):
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != GRID_HEADER:
-                raise ConfigError(f"grid file {path}: unexpected header {header}")
-            rows = [row for row in reader]
-    except OSError as exc:
-        raise ConfigError(f"cannot read grid file {path}: {exc}") from exc
+def _read_grid_csv(path: Path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != GRID_HEADER:
+            raise ConfigError(f"grid file {path}: unexpected header {header}")
+        rows = [row[:12] for row in reader]
     if not rows:
         raise ConfigError(f"grid file {path}: no data rows")
-    try:
-        data = np.array([[float(x) for x in row[:12]] for row in rows])
-    except ValueError as exc:
-        raise ConfigError(f"grid file {path}: malformed row ({exc})") from exc
-    return data
+    return _floats(rows, f"grid file {path}: malformed row")
 
 
 def cmd_render(args) -> int:
-    try:
-        data = _read_grid_csv(Path(args.grid))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.format != "svg":
-        print(f"error: unsupported format {args.format!r}", file=sys.stderr)
-        return 2
-
+    data = _read_grid_csv(Path(args.grid))
     times = np.unique(data[:, 0])
+    tokens = [token.strip() for token in args.times.split(",")]
+    wanted = [_time_token(token, times[0], times[-1]) for token in tokens]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
-    for token in args.times.split(","):
-        token = token.strip()
-        if token == "initial":
-            t_sel, name = times[0], "initial"
-        elif token == "terminal":
-            t_sel, name = times[-1], "terminal"
-        else:
-            try:
-                t_want = float(token)
-            except ValueError:
-                print(f"error: bad --times token {token!r}", file=sys.stderr)
-                return 2
-            t_sel = times[int(np.argmin(np.abs(times - t_want)))]
-            name = f"t{t_sel:.6f}".replace(".", "p")
+    for token, t_want in zip(tokens, wanted):
+        t_sel = times[int(np.argmin(np.abs(times - t_want)))]
+        name = token if token in ("initial", "terminal") else f"t{t_sel:.6f}".replace(".", "p")
         rows = data[data[:, 0] == t_sel]
         order = np.argsort(rows[:, 1])
         points = rows[order][:, 2:5]
@@ -335,23 +308,9 @@ def cmd_render(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    try:
-        ring, study = load_configs(args.config)
-        tensor = _load_coeffs(args.coeffs, ring)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    token = args.time
-    if token == "terminal":
-        t = ring.t1
-    elif token == "initial":
-        t = ring.t0
-    else:
-        try:
-            t = float(token)
-        except ValueError:
-            print(f"error: bad --time value {token!r}", file=sys.stderr)
-            return 2
+    ring, study = load_configs(args.config)
+    tensor = _load_coeffs(args.coeffs, ring)
+    t = _time_token(args.time, ring.t0, ring.t1)
     spectrum = mode_energies(tensor, t, ring, component="both")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -418,7 +377,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except tuple(_EXIT_CODES) as exc:
+        code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -518,8 +518,10 @@ def run_study(
     if torn:
         os.truncate(log_path, log_path.stat().st_size - torn)
 
+    # built before the log is opened, so a dimension the generator refuses leaves no empty log
+    qmc_left = len(history) < min(n_total, study.n_qmc)
+    sobol = _sobol_sampler(space, study.seed, skip=len(history)) if qmc_left else None
     ceiling = None
-    sobol = None
 
     with open(log_path, "a") as log:
 
@@ -545,8 +547,6 @@ def run_study(
             stop = min(start_id + study.parallel_width, n_total)
             if start_id < study.n_qmc:
                 stop = min(stop, study.n_qmc)
-                if sobol is None:
-                    sobol = _sobol_sampler(space, study.seed, skip=start_id)
                 tensors = _draw_qmc(sobol, space, stop - start_id)
                 phase = "qmc"
             else:

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import vortexlab.cli as cli
 import vortexlab.verify as verify
 from vortexlab.cli import ConfigError, load_configs, main
-from vortexlab.optimizer import run_study
+from vortexlab.optimizer import StudyConfig, run_study
 from vortexlab.ring_model import CoefficientTensor, RingConfig, phi_eval
 from vortexlab.wave_dynamics import axis_field
 
@@ -43,8 +44,6 @@ def read_grid(path):
 
 
 def test_shipped_configs_parse():
-    import pathlib
-
     configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
     ring, study = load_configs(configs / "desk.cfg")
     assert (ring.J, ring.K, ring.n_s) == (4, 6, 64)
@@ -196,10 +195,12 @@ def test_optimize_dimension_above_sobol_limit_exits_2(tmp_path, capsys):
     # dim = 4 (J + 1) (K + 1) = 22020 exceeds the Sobol limit of 21201
     cfgfile = tmp_path / "huge.cfg"
     cfgfile.write_text("J = 1100\nK = 4\nn_s = 16\nn_time = 8\nn_qmc = 1\nn_refine = 0\n")
-    code = main(["optimize", "--config", str(cfgfile), "--study", str(tmp_path / "study.jsonl")])
+    study = tmp_path / "study.jsonl"
+    code = main(["optimize", "--config", str(cfgfile), "--study", str(study)])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Sobol limit" in err
+    assert not study.exists()
 
 
 def test_simulate_infeasible_everywhere_exits_3(tmp_path, capsys):
@@ -209,6 +210,61 @@ def test_simulate_infeasible_everywhere_exits_3(tmp_path, capsys):
     code = main(["simulate", "--config", str(cfgfile), "--out", str(tmp_path / "o")])
     assert code == 3
     assert "alignment" in capsys.readouterr().err
+
+
+def test_simulate_stationary_point_exits_3(tmp_path, capsys):
+    # the cosine j=0 gamma1 row cancels Gamma'(t0) = 12 pi sin(pi/4) at s = 0, so v(t0, 0) = 0
+    configs = pathlib.Path(__file__).resolve().parent.parent / "configs"
+    arr = np.zeros((2, 2, 5, 7))
+    arr[0, 1, 0, :] = -12.0 * np.pi * np.sin(np.pi / 4.0)
+    coeffs = tmp_path / "c.json"
+    CoefficientTensor(arr).save(coeffs)
+    out = tmp_path / "o"
+    args = ["--config", str(configs / "desk.cfg"), "--coeffs", str(coeffs), "--out", str(out)]
+    assert main(["simulate"] + args) == 3
+    assert capsys.readouterr().err.startswith("error:")
+    assert not out.exists()
+
+
+def test_unreadable_or_unwritable_path_exits_2(tmp_path, desk_config_path, capsys):
+    config = ["--config", str(desk_config_path)]
+    assert main(["simulate", *config, "--coeffs", str(tmp_path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+    existing = tmp_path / "file"
+    existing.write_text("")
+    assert main(["simulate", *config, "--out", str(existing)]) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_non_finite_time_exits_2(tmp_path, desk_config_path, capsys):
+    config = ["--config", str(desk_config_path)]
+    assert main(["simulate", *config, "--out", str(tmp_path / "sim")]) == 0
+    coeffs = tmp_path / "c.json"
+    CoefficientTensor.zeros(2, 2).save(coeffs)
+    spectrum, figs = tmp_path / "spectrum", tmp_path / "figs"
+    args = ["spectrum", *config, "--coeffs", str(coeffs), "--time", "nan", "--out", str(spectrum)]
+    assert main(args) == 2
+    grid = tmp_path / "sim" / "grid.csv"
+    assert main(["render", "--grid", str(grid), "--times", "inf", "--out", str(figs)]) == 2
+    assert capsys.readouterr().err.count("error: bad time") == 2
+    assert not spectrum.exists() and not figs.exists()
+
+
+def test_exception_outside_exit_table_propagates(monkeypatch):
+    # a bug keeps its traceback: main maps only the input errors of its table
+    def broken(args):
+        raise RuntimeError("bug")
+
+    monkeypatch.setattr(cli, "cmd_spectrum", broken)
+    with pytest.raises(RuntimeError, match="bug"):
+        main(["spectrum", "--coeffs", "c.json"])
+
+
+def test_config_annotations_are_parsed_kinds():
+    # _parse_scalar reads a key's kind from its field annotation
+    for config in (RingConfig, StudyConfig):
+        for field in dataclasses.fields(config):
+            assert field.type in ("int", "float", "str"), (config.__name__, field.name)
 
 
 def test_optimize_writes_outputs_and_is_deterministic(tmp_path, desk_config_path, capsys):
