@@ -88,7 +88,10 @@ def _parse_scalar(key: str, kind: str, raw):
 
 
 def _load_config_dict(path: Path) -> dict:
-    text = path.read_text()
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path}: {exc}") from exc
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
@@ -273,15 +276,24 @@ def cmd_optimize(args) -> int:
 
 
 def _read_grid_csv(path: Path) -> np.ndarray:
+    """The grid's numeric columns, one row per node; every row needs t, s and the position."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != GRID_HEADER:
-            raise ConfigError(f"grid file {path}: unexpected header {header}")
-        rows = [row[:12] for row in reader]
+        try:
+            header = next(reader, None)
+            if header != GRID_HEADER:
+                raise ConfigError(f"grid file {path}: unexpected header {header}")
+            rows = [row[:12] for row in reader]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"grid file {path}: {exc}") from exc
     if not rows:
         raise ConfigError(f"grid file {path}: no data rows")
-    return _floats(rows, f"grid file {path}: malformed row")
+    # ragged rows do not convert; equal rows must reach z
+    data = _floats(rows, f"grid file {path}: malformed row")
+    width = GRID_HEADER.index("z") + 1
+    if data.shape[1] < width:
+        raise ConfigError(f"grid file {path}: {data.shape[1]} values a row, need at least {width}")
+    return data
 
 
 def cmd_render(args) -> int:

@@ -25,6 +25,7 @@ uninterrupted.
 
 from __future__ import annotations
 
+import array
 import json
 import operator
 import os
@@ -155,8 +156,11 @@ class TrialRecord:
 
     ``score`` is madc * feasible_fraction; a trial whose evaluation hit a
     zero-speed point (or aligned nowhere) carries score = madc =
-    feasible_fraction = 0.  ``elapsed`` is wall seconds, written as 0.0 in
-    deterministic mode (parallel_width = 1) so logs are byte-reproducible.
+    feasible_fraction = 0.  ``coeffs`` is a read-only float64 array of
+    length dim, the flattened tensor: 8 bytes a coefficient, against ~32 in
+    a list of Python floats.  ``elapsed`` is
+    wall seconds, written as 0.0 in deterministic mode (parallel_width = 1)
+    so logs are byte-reproducible.
     """
 
     trial_id: int
@@ -164,12 +168,19 @@ class TrialRecord:
     score: float
     madc: float
     feasible_fraction: float
-    coeffs: list
+    coeffs: np.ndarray
     elapsed: float
 
     def to_json_line(self) -> str:
-        """The log line; a non-finite value raises ValueError, as the reader refuses it."""
-        return _LOG_ENCODER.encode({name: getattr(self, name) for name in _LOG_FIELDS})
+        """The log line; a non-finite value raises ValueError, as the reader refuses it.
+
+        An array's coefficients go through ``tolist`` (Python floats), so the
+        line is the one a list of the same floats would write.
+        """
+        fields = {name: getattr(self, name) for name in _LOG_FIELDS}
+        if isinstance(self.coeffs, np.ndarray):
+            fields["coeffs"] = self.coeffs.tolist()
+        return _LOG_ENCODER.encode(fields)
 
 
 @dataclass(frozen=True)
@@ -443,6 +454,23 @@ def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
     return report.score, report.madc, report.feasible_fraction
 
 
+def _coeff_array(coeffs, dim: int, line_no: int) -> np.ndarray:
+    """A decoded coeffs value as a read-only float64 array, or CorruptTrialLog.
+
+    ``array.array("d", ...)`` converts the list in one C pass and raises
+    TypeError on anything but a list of numbers; unlike numpy's float
+    conversion it turns no string into a number and no null into NaN.
+    """
+    try:
+        flat = np.frombuffer(array.array("d", coeffs), dtype=np.float64)
+    except TypeError:
+        flat = None
+    if flat is None or flat.shape != (dim,):
+        raise CorruptTrialLog(line_no, f"coeffs is not a list of {dim} numbers")
+    flat.flags.writeable = False
+    return flat
+
+
 def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     """(records, bytes of an unterminated final line) of a trial log.
 
@@ -450,9 +478,11 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     dropped, never parsed.  Every newline-terminated line must be a record:
     a JSON object with exactly the logged fields in order, an int trial_id
     equal to its line index, a known phase, numeric score, madc,
-    feasible_fraction and elapsed, and a coeffs list of length dim.  The
-    coefficients' own types are not checked, as that would cost a Python
-    step per number.
+    feasible_fraction and elapsed, and a coeffs list of dim numbers.  Each
+    coeffs list becomes a read-only float64 array (:func:`_coeff_array`), and
+    the decoded list is dropped.  A string, ``null`` or nested list among the
+    coefficients is refused, with no Python step per number; a ``true`` or
+    ``false`` among them is a Python int, and still reads as 1.0 or 0.0.
 
     Lines are decoded with orjson, several times faster than ``json.loads``
     on a full-scale record and equal to it bit for bit on finite floats, but
@@ -486,8 +516,7 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
             for name in _NUMERIC_FIELDS:
                 if type(raw[name]) not in (int, float):
                     raise CorruptTrialLog(line_no, f"{name} {raw[name]!r} is not a number")
-            if type(raw["coeffs"]) is not list or len(raw["coeffs"]) != space.dim:
-                raise CorruptTrialLog(line_no, f"coeffs is not a list of {space.dim} numbers")
+            raw["coeffs"] = _coeff_array(raw["coeffs"], space.dim, line_no)
             history.append(TrialRecord(**raw))
     return history, torn
 
@@ -528,13 +557,15 @@ def run_study(
         def commit(trial_id, phase, tensor):
             start = time.perf_counter()
             score, value, fraction = evaluate_tensor(tensor, ring)
+            coeffs = tensor.flatten()  # a fresh copy
+            coeffs.flags.writeable = False
             rec = TrialRecord(
                 trial_id=trial_id,
                 phase=phase,
                 score=score,
                 madc=value,
                 feasible_fraction=fraction,
-                coeffs=[float(x) for x in tensor.flatten()],
+                coeffs=coeffs,
                 elapsed=0.0 if study.parallel_width == 1 else time.perf_counter() - start,
             )
             log.write(rec.to_json_line() + "\n")

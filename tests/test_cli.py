@@ -430,6 +430,36 @@ def test_render_empty_grid_exits_2(tmp_path, capsys):
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
 
 
+def test_render_grid_rows_need_t_s_and_position(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    header = ",".join(cli.GRID_HEADER) + "\n"
+    grid.write_text(header + "1,2\n")
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: grid file {grid}: 2 values a row")
+    grid.write_text(header + "0,0,1,0,0\n1,2\n")
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert not (tmp_path / "f").exists()
+    # render reads t, s and x, y, z; the columns after them are optional
+    s = np.linspace(0.0, 1.0, 8, endpoint=False)
+    for width in (5, 12):
+        rows = np.zeros((len(s), width))
+        rows[:, 1], rows[:, 2], rows[:, 3] = s, np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)
+        grid.write_text(header + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        out = tmp_path / f"f{width}"
+        assert main(["render", "--grid", str(grid), "--out", str(out)]) == 0
+        assert (out / "ring_initial.svg").exists()
+
+
+@pytest.mark.parametrize("command, flag", [("simulate", "--config"), ("render", "--grid")])
+def test_input_file_not_utf8_exits_2(tmp_path, capsys, command, flag):
+    path = tmp_path / "binary"
+    path.write_bytes(b"\xff\xfe\x00")
+    out = tmp_path / "out"
+    assert main([command, flag, str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]} file {path}: ")
+    assert not out.exists()
+
+
 def test_spectrum_command(tmp_path, capsys):
     cfgfile = tmp_path / "cfg"
     cfgfile.write_text("J = 2\nK = 4\nn_s = 16\nn_time = 8\n")

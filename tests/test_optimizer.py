@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 import types
 import warnings
 
@@ -207,6 +208,13 @@ def with_field_text(name, text):
     return lambda rec: json.dumps({**rec, name: "@"}).encode().replace(b'"@"', text)
 
 
+def with_coeff_text(text):
+    """A bad line: the record with its first coefficient replaced by the raw JSON ``text``."""
+    return lambda rec: (
+        json.dumps({**rec, "coeffs": ["@", *rec["coeffs"][1:]]}).encode().replace(b'"@"', text)
+    )
+
+
 MALFORMED_LINES = {
     "blank": (2, lambda rec: b"  "),
     "truncated JSON": (2, lambda rec: json.dumps(rec).encode()[:40]),
@@ -228,6 +236,10 @@ MALFORMED_LINES = {
     # 36 is tiny_ring's dim: a string has a length too
     "coeffs a string of length dim": (2, with_field_text("coeffs", b'"' + b"x" * 36 + b'"')),
     "coeffs too short": (2, with_field_text("coeffs", b"[0.0]")),
+    "coefficient a string": (2, with_coeff_text(b'"x"')),
+    "coefficient a numeric string": (2, with_coeff_text(b'"1.5"')),
+    "coefficient null": (2, with_coeff_text(b"null")),
+    "coefficient a nested list": (2, with_coeff_text(b"[0.0]")),
 }
 
 
@@ -261,9 +273,17 @@ def test_writer_bytes_pinned():
     )
 
 
+def test_writer_bytes_same_for_array_and_list():
+    coeffs = [-0.0, 5e-324, 1e-05, 1e16, -30.0, 0.1 + 0.2]
+    rec = TrialRecord(3, "refine", 0.25, 1e-05, 1.0, coeffs, 0.0)
+    as_array = dataclasses.replace(rec, coeffs=np.array(coeffs))
+    assert as_array.to_json_line() == rec.to_json_line()
+
+
 def assert_records_bitwise_equal(got, want):
-    assert got == want
+    assert len(got) == len(want)
     for a, b in zip(got, want):
+        assert (a.trial_id, a.phase) == (b.trial_id, b.phase)
         for name in ("score", "madc", "feasible_fraction", "coeffs", "elapsed"):
             assert np.array(getattr(a, name)).tobytes() == np.array(getattr(b, name)).tobytes()
 
@@ -296,6 +316,33 @@ def test_run_study_log_parses_back_to_its_history(tiny_ring, tmp_path):
     history, torn = optimizer._parse_log(log, SearchSpace.from_ring_config(tiny_ring))
     assert torn == 0
     assert_records_bitwise_equal(history, result.history)
+    for rec in result.history:
+        assert rec.coeffs.dtype == np.float64 and not rec.coeffs.flags.writeable
+
+
+def test_parsed_history_keeps_coefficients_as_read_only_float64(tmp_path):
+    space = SearchSpace(J=20, K=10, c_max=30.0)  # full scale: dim 924
+    rng = np.random.default_rng(11)
+    n = 200
+    log = tmp_path / "log.jsonl"
+    with open(log, "w") as fh:
+        for i in range(n):
+            coeffs = rng.uniform(-space.c_max, space.c_max, space.dim).tolist()
+            fh.write(make_record(i, 0.5, coeffs).to_json_line() + "\n")
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        history, torn = optimizer._parse_log(log, space)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert torn == 0 and len(history) == n
+    # a float64 is 8 bytes; a list of Python floats holds ~32 per coefficient
+    assert retained / (n * space.dim) < 12
+    for rec in history:
+        assert rec.coeffs.dtype == np.float64 and rec.coeffs.shape == (space.dim,)
+        with pytest.raises(ValueError):
+            rec.coeffs[0] = 0.0
 
 
 def test_study_config_validation():
@@ -412,7 +459,7 @@ def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp
     logged = [rec.coeffs for rec in result.history if rec.phase == "qmc"]
     assert len(logged) == len(expected) == 7
     for coeffs, tensor in zip(logged, expected):
-        assert coeffs == [float(x) for x in tensor.flatten()]
+        assert coeffs.tolist() == [float(x) for x in tensor.flatten()]
     # a study past its QMC phase never builds the sampler
     monkeypatch.setattr(optimizer.qmc, "Sobol", counting_sobol)
     run_study(dataclasses.replace(study, n_refine=2), tiny_ring, tmp_path / "part.jsonl")
