@@ -364,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials-qmc", type=int, default=None, help="low-discrepancy trials")
     p.add_argument("--trials-refine", type=int, default=None, help="refinement trials")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=None, help="trials per batch")
+    p.add_argument("--parallel", type=int, default=None, help="refine proposals per batch")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("render", help="SVG figures from a simulation grid")

@@ -71,6 +71,10 @@ class MeridionalFrame:
     n_m: np.ndarray
     n_w: np.ndarray
 
+    def __getitem__(self, index) -> "MeridionalFrame":
+        """The frame with ``index`` applied to every component."""
+        return MeridionalFrame(self.tau_r[index], self.tau_z[index], self.n_m[index], self.n_w[index])
+
     def coords(self, r, theta, z) -> tuple:
         """Components along (tau, n, b) of the vector r e_r + theta e_theta + z e_z."""
         along_m = self.tau_r * z - self.tau_z * r
@@ -208,18 +212,21 @@ def frame_from_derivatives(
 
 
 def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V) -> tuple:
-    """(v, v', W, kappa) from the e_r (a) and e_z (b) components of d1 and d2.
+    """(v, v', W, kappa, stationary) from the e_r (a) and e_z (b) components of d1 and d2.
 
     With ``W = a1 b2 - b1 a2``, ``d1 x d2 = -W e_theta``, so
-    ``kappa = |W| / v^3`` and the torsion is exactly 0.  Raises ZeroSpeed
-    where v <= eps_v.
+    ``kappa = |W| / v^3`` and the torsion is exactly 0.  ``stationary``
+    marks the points with v <= eps_v, where the kinematics are undefined:
+    there v reads 1, so nothing divides by zero, and the caller discards
+    what depends on them.
     """
     v = np.hypot(a1, b1)
-    if np.any(v <= eps_v):
-        raise ZeroSpeed(f"|d1| <= {eps_v}; stationary trajectory point")
+    stationary = v <= eps_v
+    if stationary.any():
+        v = np.where(stationary, 1.0, v)
     v_t = (a1 * a2 + b1 * b2) / v
     w = a1 * b2 - b1 * a2
-    return v, v_t, w, np.abs(w) / v**3
+    return v, v_t, w, np.abs(w) / v**3, stationary
 
 
 def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA):
@@ -240,7 +247,9 @@ def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_E
         # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
         along_m = np.broadcast_to(np.sin(azimuth), v.shape)
         along_w = np.cos(azimuth) * tau_z
+        # zero only at a stationary point, where tau is (a1, b1) itself and may vanish
         norm = np.hypot(along_m, along_w)
+        norm = np.where(norm > 0.0, norm, 1.0)
         n_m = np.where(vertical, along_m / norm, n_m)
         n_w = np.where(vertical, along_w / norm, n_w)
     return MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w)

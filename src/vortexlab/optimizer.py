@@ -17,7 +17,10 @@ Which columns a tensor can use is read from the trial path itself
 (:func:`vortexlab.wave_dynamics.aligned_initial_state`), never re-derived
 here; the ceiling's LP takes its rate-stencil times from the same helper.
 
-Every evaluation is appended to a JSON-lines log as it completes, so a
+QMC trials are evaluated in stacks of ``QMC_STACK`` through one stacked
+kernel (:func:`evaluate_stack`), refine trials one at a time
+(:func:`evaluate_tensor`); both give the same score for a tensor, bit for
+bit.  Every trial is appended to a JSON-lines log in trial order, so a
 killed study resumes from the log and (in deterministic mode,
 parallel_width = 1) reproduces the exact trial stream it would have run
 uninterrupted.
@@ -49,7 +52,7 @@ from .ring_model import (
     transport_gamma,
 )
 from .geometry import ZeroSpeed
-from .wave_dynamics import _rate_stencil, aligned_initial_state, axis_field
+from .wave_dynamics import _axis_fields, _rate_stencil, aligned_initial_state, axis_field
 
 __all__ = [
     "DimensionTooLarge",
@@ -65,11 +68,19 @@ __all__ = [
     "sample_qmc",
     "propose_refinements",
     "evaluate_tensor",
+    "evaluate_stack",
     "run_study",
 ]
 
 # scipy's Sobol implementation tops out at this dimension
 _SOBOL_MAX_DIM = 21201
+
+# QMC trials evaluated per kernel call.  Per-trial cost at stack sizes
+# 1/2/4/8/16/32/64 on a 2-vCPU Xeon (medians of three passes over 64 Sobol
+# tensors): 0.49/0.41/0.35/0.36/0.47/0.46/0.55 ms at the desk shape and
+# 1.09/0.97/0.86/0.81/0.89/1.31/1.38 ms at full scale.  Larger stacks lose
+# because their temporaries no longer fit in the cache.
+QMC_STACK = 8
 
 _LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeffs", "elapsed")
 _NUMERIC_FIELDS = ("score", "madc", "feasible_fraction", "elapsed")
@@ -150,17 +161,18 @@ class StudyConfig:
         return asdict(self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TrialRecord:
-    """One optimizer evaluation as logged.
+    """One optimizer evaluation as logged; records compare (and hash) by identity.
 
     ``score`` is madc * feasible_fraction; a trial whose evaluation hit a
     zero-speed point (or aligned nowhere) carries score = madc =
     feasible_fraction = 0.  ``coeffs`` is a read-only float64 array of
     length dim, the flattened tensor: 8 bytes a coefficient, against ~32 in
-    a list of Python floats.  ``elapsed`` is
-    wall seconds, written as 0.0 in deterministic mode (parallel_width = 1)
-    so logs are byte-reproducible.
+    a list of Python floats.  ``elapsed`` is wall seconds: a refine
+    trial's own evaluation, or for a QMC trial its stack's evaluation over
+    the stack size.  It is written as 0.0 in deterministic mode
+    (parallel_width = 1) so logs are byte-reproducible.
     """
 
     trial_id: int
@@ -454,6 +466,24 @@ def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
     return report.score, report.madc, report.feasible_fraction
 
 
+def evaluate_stack(tensors: list, ring: RingConfig) -> list:
+    """:func:`evaluate_tensor` of each tensor, in one evaluation of the stack.
+
+    The scores equal the one-at-a-time ones bit for bit: the stacked kernel
+    sums each trial's terms in the same order whatever the stack, and each
+    trial's MADC is its own call.
+    """
+    field, zero = _axis_fields(np.stack([tensor.c for tensor in tensors]), ring)
+    results = []
+    for b, stationary in enumerate(zero):
+        if stationary:
+            results.append((0.0, 0.0, 0.0))
+            continue
+        report = madc(field.trial(b), ring)
+        results.append((report.score, report.madc, report.feasible_fraction))
+    return results
+
+
 def _coeff_array(coeffs, dim: int, line_no: int) -> np.ndarray:
     """A decoded coeffs value as a read-only float64 array, or CorruptTrialLog.
 
@@ -530,8 +560,10 @@ def run_study(
     """Run (or resume) the two-phase study, appending to the JSONL log.
 
     ``limit`` stops the study after that many total committed trials (the
-    log stays resumable); the default runs n_qmc + n_refine.  Records are
-    committed strictly in trial order, one flushed line per trial.  On
+    log stays resumable); the default runs n_qmc + n_refine.  QMC trials
+    run in stacks of ``QMC_STACK`` whatever ``parallel_width``, which sets
+    only the refine proposals per batch.  Records are committed strictly in
+    trial order, one flushed line per trial.  On
     resume an unterminated final line (a record cut by a kill) is truncated
     away and its trial runs again.
     """
@@ -554,9 +586,8 @@ def run_study(
 
     with open(log_path, "a") as log:
 
-        def commit(trial_id, phase, tensor):
-            start = time.perf_counter()
-            score, value, fraction = evaluate_tensor(tensor, ring)
+        def commit(trial_id, phase, tensor, result, elapsed):
+            score, value, fraction = result
             coeffs = tensor.flatten()  # a fresh copy
             coeffs.flags.writeable = False
             rec = TrialRecord(
@@ -566,23 +597,28 @@ def run_study(
                 madc=value,
                 feasible_fraction=fraction,
                 coeffs=coeffs,
-                elapsed=0.0 if study.parallel_width == 1 else time.perf_counter() - start,
+                elapsed=0.0 if study.parallel_width == 1 else elapsed,
             )
             log.write(rec.to_json_line() + "\n")
             log.flush()
             history.append(rec)
 
-        # batches of parallel_width trials, evaluated and committed in order
+        # QMC stacks of QMC_STACK trials, then refine batches of parallel_width,
+        # each evaluated and committed in order
         while len(history) < n_total:
             start_id = len(history)
-            stop = min(start_id + study.parallel_width, n_total)
             if start_id < study.n_qmc:
-                stop = min(stop, study.n_qmc)
+                stop = min(start_id + QMC_STACK, study.n_qmc, n_total)
                 tensors = _draw_qmc(sobol, space, stop - start_id)
-                phase = "qmc"
+                start = time.perf_counter()
+                results = evaluate_stack(tensors, ring)
+                elapsed = (time.perf_counter() - start) / len(tensors)
+                for trial_id, tensor, result in zip(range(start_id, stop), tensors, results):
+                    commit(trial_id, "qmc", tensor, result, elapsed)
             else:
                 if study.strategy == "structured" and ceiling is None:
                     ceiling = feasibility_ceiling(ring)
+                stop = min(start_id + study.parallel_width, n_total)
                 tensors = propose_refinements(
                     history,
                     stop - start_id,
@@ -591,9 +627,10 @@ def run_study(
                     space=space,
                     ceiling=ceiling,
                 )
-                phase = "refine"
-            for trial_id, tensor in zip(range(start_id, stop), tensors):
-                commit(trial_id, phase, tensor)
+                for trial_id, tensor in zip(range(start_id, stop), tensors):
+                    start = time.perf_counter()
+                    result = evaluate_tensor(tensor, ring)
+                    commit(trial_id, "refine", tensor, result, time.perf_counter() - start)
 
     # max keeps the first of equal scores
     best = max(history, key=operator.attrgetter("score"))

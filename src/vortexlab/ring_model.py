@@ -380,14 +380,16 @@ class _RowGrid:
     """The coefficient-free part of Phi on ``times`` x ``cfg.s_grid`` (read-only arrays).
 
     ``pows`` stacks the order-1 and order-2 time powers of every row over
-    the order-0 powers of ``tangent_rows``; ``transport`` is (Gamma',
-    Gamma'') per row, and ``radius`` is R + Gamma on the tangent rows.
+    the order-0 powers of ``tangent_rows``; ``basis`` is the Fourier basis
+    beside its s-derivative, over K+1; ``transport`` is (Gamma', Gamma'')
+    per row, and ``radius`` is R + Gamma on the tangent rows.  Both carry a
+    unit trial axis after the row axis (``transport`` a unit s axis too),
+    to broadcast against the (rows, B, n_s) arrays of :meth:`evaluate`.
     """
 
     tangent_rows: np.ndarray
     pows: np.ndarray
     basis: np.ndarray
-    basis_s: np.ndarray
     transport: np.ndarray
     radius: np.ndarray
     radius_s: np.ndarray
@@ -396,11 +398,11 @@ class _RowGrid:
     @classmethod
     def build(cls, times: np.ndarray, tangent_rows: np.ndarray, cfg: RingConfig) -> "_RowGrid":
         pows = _time_power_table(times - cfg.t0, cfg.J)
-        gamma, gamma_t, gamma_tt, _ = transport_gamma(times[:, None])
+        gamma, gamma_t, gamma_tt, _ = transport_gamma(times[:, None, None])
         grid = cls(
             tangent_rows,
             np.concatenate([pows[1], pows[2], pows[0, tangent_rows]]),
-            *_fourier_basis(cfg.s_grid, cfg.K),
+            np.hstack(_fourier_basis(cfg.s_grid, cfg.K)) / (cfg.K + 1.0),
             np.stack([gamma_t, gamma_tt]),
             radius_profile(cfg.s_grid, cfg.delta) + gamma[tangent_rows],
             radius_profile_deriv(cfg.s_grid, cfg.delta),
@@ -410,24 +412,37 @@ class _RowGrid:
             getattr(grid, field.name).flags.writeable = False
         return grid
 
-    def evaluate(self, c: CoefficientTensor, cfg: RingConfig) -> tuple:
-        """((v, v', kappa) on every row; MeridionalFrame and unit ring tangent on the tangent rows).
+    def evaluate(self, c: np.ndarray, cfg: RingConfig) -> tuple:
+        """Kinematics, frame and ring tangent of a stack of coefficient arrays.
 
-        The tangent is given by its components along (tau, n, b), NaN where
-        dPhi/ds vanishes.  Raises ZeroSpeed where any row's speed vanishes.
+        ``c`` has shape (B, 2, 2, J+1, K+1).  Returns (v, v', kappa) on
+        every row, the MeridionalFrame and the unit ring tangent on the
+        tangent rows, each array shaped (rows, B, n_s), and the (B,) mask
+        of trials with a zero speed (v <= eps_v) on some row, whose other
+        outputs are finite but meaningless.  The tangent is given by its
+        components along (tau, n, b), NaN where dPhi/ds vanishes.
+
+        Two matrix products: the coefficients against the basis gives each
+        power of (t - t0) as a function of s, and the time-power table
+        against that gives the rows.  Each output element is a sum over one
+        trial's coefficients only, in an order that does not depend on B.
         """
-        n = self.transport.shape[1]
-        time_coeffs = np.einsum("rj,lmjk->rlmk", self.pows, c.c) / (c.K + 1.0)
-        time_coeffs = time_coeffs.reshape(-1, len(self.basis))
-        values = (time_coeffs @ self.basis).reshape(-1, 2, cfg.n_s)
+        n, n_s, width = self.transport.shape[1], cfg.n_s, len(self.basis)
+        # rows (j, gamma1/gamma2, trial) by columns (sine/cosine, k)
+        coeffs = c.transpose(3, 1, 0, 2, 4).reshape(-1, width)
+        series = (coeffs @ self.basis).reshape(cfg.J + 1, -1, 2 * n_s)
+        values = self.pows @ series[..., :n_s].reshape(cfg.J + 1, -1)
+        values = values.reshape(len(self.pows), 2, -1, n_s)
         (a1, b1), (a2, b2) = values[:n].swapaxes(0, 1), values[n : 2 * n].swapaxes(0, 1)
         a1, a2 = a1 + self.transport[0], a2 + self.transport[1]
-        v, v_t, w, kappa = _speed_curvature(a1, a2, b1, b2, cfg.eps_v)
+        v, v_t, w, kappa, stationary = _speed_curvature(a1, a2, b1, b2, cfg.eps_v)
         on_rows = (x[self.tangent_rows] for x in (a1, b1, v, w, kappa))
         frame = _meridional_frame(*on_rows, self.azimuth, cfg.eps_kappa)
-        slopes = (time_coeffs[4 * n :] @ self.basis_s).reshape(-1, 2, cfg.n_s)
+        slopes = self.pows[2 * n :] @ series[..., n_s:].reshape(cfg.J + 1, -1)
+        slopes = slopes.reshape(-1, 2, len(c), n_s)
         r, z = self.radius_s + slopes[:, 0], slopes[:, 1]
         theta = 2.0 * np.pi * (self.radius + values[2 * n :, 0])
         norm = np.sqrt(r * r + theta * theta + z * z)
         norm = np.where(norm > 0.0, norm, np.nan)
-        return (v, v_t, kappa), frame, tuple(x / norm for x in frame.coords(r, theta, z))
+        tangent = tuple(x / norm for x in frame.coords(r, theta, z))
+        return (v, v_t, kappa), frame, tangent, stationary.any(axis=(0, 2))

@@ -19,9 +19,13 @@ The trial path solves the equations by their exact first integrals
 
 The trajectories stay in their meridional half-planes, so the grid path
 works on scalar components: the kinematics, the frame and zeta*'s
-components (a, b, c) along (tau, n, b) come from one product of the
+components (a, b, c) along (tau, n, b) come from two matrix products of the
 coefficients with a ``ring_model._RowGrid`` (for trials, cached per config).
 Cartesian axes are formed only on :class:`AxisField` access.
+
+The grid path evaluates a stack of B coefficient arrays at once: every
+array it handles carries a trial axis right after its row (time) axis, and
+the single-tensor functions are stacks of one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FrenetFrame, MeridionalFrame, TrajectoryKinematics
+from .geometry import FrenetFrame, MeridionalFrame, TrajectoryKinematics, ZeroSpeed
 # kinematics_at and phi_eval stay module attributes: perfbench/tracer.py patches both here
 from .ring_model import (  # noqa: F401
     CoefficientTensor,
@@ -85,6 +89,19 @@ class AxisField:
     alpha1: np.ndarray
     alpha2: np.ndarray
     tangent: tuple
+
+    def trial(self, b: int) -> "AxisField":
+        """Trial ``b`` of a stacked field, whose arrays carry a trial axis after the time axis."""
+        return AxisField(
+            t_nodes=self.t_nodes,
+            s_grid=self.s_grid,
+            corr=self.corr[:, b],
+            feasible=self.feasible[b],
+            frame=self.frame[:, b],
+            alpha1=self.alpha1[:, b],
+            alpha2=self.alpha2[:, b],
+            tangent=tuple(x[:, b] for x in self.tangent),
+        )
 
     @property
     def zeta_hat(self) -> np.ndarray:
@@ -209,10 +226,17 @@ def _trial_grid(cfg: RingConfig) -> _RowGrid:
     return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
 
 
+def _only_trial(zero: np.ndarray, cfg: RingConfig) -> None:
+    """Raise ZeroSpeed if the one trial of a stack has a zero speed on a row."""
+    if zero[0]:
+        raise ZeroSpeed(f"|d1| <= {cfg.eps_v}; stationary trajectory point")
+
+
 def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
     """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
 
-    ``tangent`` holds the unit ring tangent's frame components.  The rates
+    ``tangent`` holds the unit ring tangent's frame components, rows first;
+    the outputs drop the row axis.  The rates
     are central differences of the alignment over h = fd_step; a column is
     feasible where it aligns at all three times, and infeasible columns
     carry NaN.
@@ -266,8 +290,13 @@ def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
     """(AlphaState at t0, feasibility mask): the aligned start :func:`axis_field` takes.
 
     Infeasible columns (at t0 or at either rate-stencil point) carry NaN.
+    Raises ZeroSpeed where any row of the trial grid has a zero speed.
     """
-    return _aligned_start(_trial_grid(cfg).evaluate(c, cfg)[2], cfg, rows=[0, 2, 1])
+    _, _, tangent, zero = _trial_grid(cfg).evaluate(c.c[None], cfg)
+    _only_trial(zero, cfg)
+    init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
+    rates = (init.alpha1, init.alpha2, init.alpha1_t, init.alpha2_t)
+    return AlphaState(init.t, *(x[0] for x in rates)), feasible[0]
 
 
 def _swirl_axis(alpha1: np.ndarray, alpha2: np.ndarray) -> tuple:
@@ -296,41 +325,57 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     # rows 0-2: the alignment stencil; then (t0, midpoint, target) per target
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
     times = np.concatenate([_rate_stencil(cfg), *steps])
-    speed, _, tangent = _RowGrid.build(times, np.arange(len(times)), cfg).evaluate(c, cfg)
+    grid = _RowGrid.build(times, np.arange(len(times)), cfg)
+    speed, _, tangent, zero = grid.evaluate(c.c[None], cfg)
+    _only_trial(zero, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
     panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
-    alpha1, alpha2, _, _ = _propagate(speed, panels, init, (targets - t0)[:, None])
+    alpha1, alpha2, _, _ = _propagate(speed, panels, init, (targets - t0)[:, None, None])
     swirl = _swirl_axis(alpha1[-1], alpha2[-1])
     plus_half, minus_half, plus, minus = _correlation(swirl, [x[panels[-1]] for x in tangent])
 
     rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
-    return np.where(feasible, rate, np.nan)
+    return np.where(feasible, rate, np.nan)[0]
 
 
-def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
-    """Solve alignment, solve the wave system in closed form, correlate the axes.
+def _axis_fields(c: np.ndarray, cfg: RingConfig) -> tuple:
+    """(stacked AxisField, zero-speed mask) of a (B, 2, 2, J+1, K+1) coefficient stack.
 
-    One product of the coefficients with the cached :func:`_trial_grid`
-    covers every row.  Each row gets v, v' and kappa, from the first two
-    time derivatives of Phi; only the stencil rows and the time nodes get
-    the frame and the unit ring tangent.  Per-column infeasibility (no
-    initial alignment at t0 or at a rate stencil point) is recorded in
-    ``feasible`` and produces NaN correlations, not an error.
+    The field's arrays carry the trial axis after the time axis
+    (:meth:`AxisField.trial` takes one out); the (B,) mask marks trials
+    with a zero speed on some row, whose fields are meaningless.
     """
-    speed, frame, tangent = _trial_grid(cfg).evaluate(c, cfg)
+    speed, frame, tangent, zero = _trial_grid(cfg).evaluate(c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
     alpha1, alpha2, _, _ = _propagate(speed, slice(2, None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
 
     tangent = tuple(x[2:] for x in tangent)
     swirl = _swirl_axis(alpha1, alpha2)
-    corr = np.where(feasible[None, :], np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
-    return AxisField(
+    corr = np.where(feasible, np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
+    field = AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
         corr=corr,
         feasible=feasible,
-        frame=MeridionalFrame(frame.tau_r[2:], frame.tau_z[2:], frame.n_m[2:], frame.n_w[2:]),
+        frame=frame[2:],
         alpha1=alpha1,
         alpha2=alpha2,
         tangent=tangent,
     )
+    return field, zero
+
+
+def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
+    """Solve alignment, solve the wave system in closed form, correlate the axes.
+
+    Two matrix products of the coefficients with the cached
+    :func:`_trial_grid` cover every row.  Each row gets v, v' and kappa,
+    from the first two time derivatives of Phi; only the stencil rows and
+    the time nodes get the frame and the unit ring tangent.  Per-column
+    infeasibility (no initial alignment at t0 or at a rate stencil point) is
+    recorded in ``feasible`` and produces NaN correlations, not an error; a
+    zero speed on any row raises ZeroSpeed.
+    """
+    field, zero = _axis_fields(c.c[None], cfg)
+    _only_trial(zero, cfg)
+    return field.trial(0)

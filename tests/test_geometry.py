@@ -227,7 +227,8 @@ def test_meridional_kernel_matches_generic_frame():
     d1, d2, d3 = (a[k][:, None] * e_r + b[k][:, None] * np.array([0.0, 0.0, 1.0]) for k in range(3))
 
     oracle = frame_from_derivatives(d1, d2, d3)
-    v, v_t, w, kappa = _speed_curvature(a[0], a[1], b[0], b[1])
+    v, v_t, w, kappa, stationary = _speed_curvature(a[0], a[1], b[0], b[1])
+    assert not stationary.any()
     np.testing.assert_array_equal(kappa < DEFAULT_EPS_KAPPA, oracle.degenerate)
     np.testing.assert_array_equal(oracle.degenerate, np.arange(n) >= 100)
     # the inputs are O(1), so an absolute 1e-12 is relative to their scale

@@ -20,6 +20,7 @@ from vortexlab.optimizer import (
     SearchSpace,
     StudyConfig,
     TrialRecord,
+    evaluate_stack,
     evaluate_tensor,
     feasibility_ceiling,
     propose_refinements,
@@ -288,6 +289,16 @@ def assert_records_bitwise_equal(got, want):
             assert np.array(getattr(a, name)).tobytes() == np.array(getattr(b, name)).tobytes()
 
 
+def test_trial_record_compares_by_identity():
+    # dataclass equality would compare the coefficient arrays, whose truth
+    # value is ambiguous; content comparison is assert_records_bitwise_equal
+    a = TrialRecord(0, "qmc", 0.5, 1.0, 0.5, np.zeros(3), 0.0)
+    b = dataclasses.replace(a)
+    assert a == a and a != b and not a == b
+    assert hash(a) != hash(b) and len({a, b, a}) == 2
+    assert_records_bitwise_equal([a], [b])
+
+
 def test_written_records_parse_back_bit_for_bit(space, tmp_path):
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2**64, size=40 * (space.dim + 4), dtype=np.uint64).view(np.float64)
@@ -402,6 +413,72 @@ def test_zero_speed_at_rk4_midpoint_only_is_infeasible(tiny_ring):
     assert eps_v < float(v_other.min())
     assert evaluate_tensor(tensor, ring)[0] > 0.0
     assert evaluate_tensor(tensor, dataclasses.replace(ring, eps_v=eps_v)) == (0.0, 0.0, 0.0)
+
+
+def midpoint_dip(ring):
+    """A tensor whose speed nearly vanishes at the fourth RK4 midpoint, and an eps_v just above it.
+
+    The margin covers the rounding between kinematics_at's speed and the trial grid's.
+    """
+    h = (ring.t1 - ring.t0) / ring.n_time
+    # the abscissa as integrate_wave_system forms it: t0 + i h, then + h/2
+    midpoint = np.array([ring.t0 + 3 * h + 0.5 * h])
+    c = np.zeros((2, 2, ring.J + 1, ring.K + 1))
+    c[0, 1, 0, 0] = -0.999 * (ring.K + 1) * transport_gamma(midpoint[0])[1]
+    tensor = CoefficientTensor(c)
+    return tensor, float(kinematics_at(midpoint, ring.s_grid, tensor, ring).v.min()) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("ring", [DESK, RingConfig()], ids=["desk", "full"])
+def test_evaluate_stack_equals_one_trial_at_a_time(ring):
+    dip, eps_v = midpoint_dip(ring)
+    ring = dataclasses.replace(ring, eps_v=eps_v)
+    # gamma1 = 200 (t - t0) sin(4 pi s) turns the velocity against R_s on every column
+    c = np.zeros((2, 2, ring.J + 1, ring.K + 1))
+    c[0, 0, 0, 2] = 200.0 * (ring.K + 1)
+    closed = CoefficientTensor(c)
+    # a constant gamma1_t = -Gamma'(t0) stops every trajectory at t0 (exactly, at full scale)
+    c = np.zeros((2, 2, ring.J + 1, ring.K + 1))
+    c[0, 1, 0, 0] = -(ring.K + 1.0) * transport_gamma(ring.t0)[1]
+    stop = CoefficientTensor(c)
+    drawn = sample_qmc(SearchSpace.from_ring_config(ring), 5, seed=2)
+    tensors = [drawn[0], dip, drawn[1], closed, drawn[2], stop, *drawn[3:]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for tensor in (dip, stop):
+            with pytest.raises(ZeroSpeed):
+                axis_field(tensor, ring)
+        assert not axis_field(closed, ring).feasible.any()
+        want = [evaluate_tensor(tensor, ring) for tensor in tensors]
+        assert want[1] == want[3] == want[5] == (0.0, 0.0, 0.0)
+        assert all(result[0] > 0.0 for i, result in enumerate(want) if i not in (1, 3, 5))
+        for size in (1, 3, 8):
+            got = [r for i in range(0, 8, size) for r in evaluate_stack(tensors[i : i + size], ring)]
+            assert got == want, size
+            assert all(type(x) is float for result in got for x in result)
+
+
+def test_resume_across_qmc_stacks_is_byte_identical(tiny_ring, tmp_path):
+    study = StudyConfig(n_qmc=20, n_refine=2, seed=6)
+    assert study.n_qmc > 2 * optimizer.QMC_STACK
+    run_study(study, tiny_ring, tmp_path / "full.jsonl")
+    # stopped inside the first stack, then inside the second
+    for limit in (5, 13):
+        assert limit % optimizer.QMC_STACK
+        run_study(study, tiny_ring, tmp_path / "part.jsonl", limit=limit)
+        assert sum(1 for _ in open(tmp_path / "part.jsonl")) == limit
+    run_study(study, tiny_ring, tmp_path / "part.jsonl")
+    assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
+
+
+def test_parallel_width_qmc_elapsed_is_the_stack_share(tiny_ring, tmp_path):
+    n_qmc = optimizer.QMC_STACK + 2
+    study = StudyConfig(n_qmc=n_qmc, n_refine=1, seed=5, parallel_width=3)
+    history = run_study(study, tiny_ring, tmp_path / "log.jsonl").history
+    stacks = [history[: optimizer.QMC_STACK], history[optimizer.QMC_STACK : n_qmc]]
+    for stack in stacks:
+        assert len({rec.elapsed for rec in stack}) == 1 and stack[0].elapsed > 0.0
+    assert history[-1].phase == "refine" and history[-1].elapsed > 0.0
 
 
 @pytest.mark.parametrize("ring, n", [(DESK, 300), (RingConfig(), 4)])

@@ -167,7 +167,10 @@ def test_trial_grid_matches_generic_frame(desk_cfg):
         [_rate_stencil(desk_cfg)[::2], _rk4_abscissae(desk_cfg.t0, desk_cfg.t1, desk_cfg.n_time)]
     )
     grid = _trial_grid(desk_cfg)
-    speed, frame, tangent = grid.evaluate(c, desk_cfg)
+    speed, frame, tangent, zero = grid.evaluate(c.c[None], desk_cfg)
+    assert zero.tolist() == [False]
+    # the one trial of the stack
+    speed, frame, tangent = [x[:, 0] for x in speed], frame[:, 0], [x[:, 0] for x in tangent]
     p = phi_eval(times, desk_cfg.s_grid, c, desk_cfg)
     oracle = frame_from_derivatives(p.d1, p.d2, p.d3, desk_cfg.eps_kappa, desk_cfg.eps_v)
     np.testing.assert_array_equal(speed[2] < desk_cfg.eps_kappa, oracle.degenerate)
