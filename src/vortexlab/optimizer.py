@@ -86,6 +86,11 @@ _LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeff
 _NUMERIC_FIELDS = ("score", "madc", "feasible_fraction", "elapsed")
 # json.dumps' spelling; one encoder, as passing allow_nan to json.dumps builds one per call
 _LOG_ENCODER = json.JSONEncoder(allow_nan=False)
+# float.__repr__ (json's float text) and orjson write the same digits.  repr
+# uses plain notation exactly for 0 and 1e-4 <= |x| < 1e16, as orjson does
+# there; outside it repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16
+_PLAIN_MIN = 1e-4
+_PLAIN_MAX = 1e16
 
 REFINE_SIGMA_INIT_FACTOR = 0.1
 # One success per five trials keeps sigma constant: 2**0.5 * (2**-0.125)**4 = 1
@@ -186,13 +191,42 @@ class TrialRecord:
     def to_json_line(self) -> str:
         """The log line; a non-finite value raises ValueError, as the reader refuses it.
 
-        An array's coefficients go through ``tolist`` (Python floats), so the
-        line is the one a list of the same floats would write.
+        The line is the one ``json`` writes for the fields, with an array's
+        coefficients as the list of the same floats.  Where
+        :func:`_plain_floats` holds, orjson writes the coefficients (json's
+        text but for ``,`` in place of ``, ``) into json's line for the other
+        fields; other coefficients go through ``tolist`` and json, the
+        reference spelling.
         """
         fields = {name: getattr(self, name) for name in _LOG_FIELDS}
-        if isinstance(self.coeffs, np.ndarray):
-            fields["coeffs"] = self.coeffs.tolist()
-        return _LOG_ENCODER.encode(fields)
+        coeffs = self.coeffs
+        if not _plain_floats(coeffs):
+            if isinstance(coeffs, np.ndarray):
+                fields["coeffs"] = coeffs.tolist()
+            return _LOG_ENCODER.encode(fields)
+        # the slot is unique: a string value escapes its quotes, so '"coeffs": ' is only the key
+        fields["coeffs"] = []
+        text = orjson.dumps(coeffs, option=orjson.OPT_SERIALIZE_NUMPY).replace(b",", b", ").decode()
+        return _LOG_ENCODER.encode(fields).replace('"coeffs": []', '"coeffs": ' + text, 1)
+
+
+def _plain_floats(coeffs) -> bool:
+    """Whether ``coeffs`` is a C-contiguous 1-d float64 array of 0s and 1e-4 <= |x| < 1e16.
+
+    The comparisons are exact on doubles, and a NaN or infinity fails them.
+    """
+    if not (
+        type(coeffs) is np.ndarray
+        and coeffs.dtype == np.float64
+        and coeffs.ndim == 1
+        and coeffs.flags.c_contiguous
+        and coeffs.size
+    ):
+        return False
+    mag = np.abs(coeffs)
+    if not np.maximum.reduce(mag) < _PLAIN_MAX:
+        return False
+    return bool(np.minimum.reduce(mag) >= _PLAIN_MIN or np.all((mag >= _PLAIN_MIN) | (mag == 0.0)))
 
 
 @dataclass(frozen=True)
@@ -517,10 +551,11 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     Lines are decoded with orjson, several times faster than ``json.loads``
     on a full-scale record and equal to it bit for bit on finite floats, but
     stricter: NaN, Infinity, literals that overflow a double (1e400) and
-    invalid UTF-8 are refused.  Writing stays on the standard library's
-    ``json`` (see :meth:`TrialRecord.to_json_line`), because orjson spells
-    some floats differently (1e-05 as 0.00001) and the log bytes are the
-    contract.
+    invalid UTF-8 are refused.  The written spelling stays the standard
+    library's ``json`` (see :meth:`TrialRecord.to_json_line`), because
+    orjson spells some floats differently (1e-05 as 0.00001) and the log
+    bytes are the contract; orjson writes coefficient text only where its
+    spelling is the same.
     """
     history = []
     torn = 0

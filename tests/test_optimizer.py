@@ -259,8 +259,18 @@ def test_resume_refuses_every_malformed_line(tiny_ring, tmp_path, line_no, bad):
 
 
 def test_writer_refuses_non_finite_values():
+    plain = np.random.default_rng(22).uniform(-30.0, 30.0, size=12)
     for value in (np.nan, np.inf, -np.inf):
-        for rec in (make_record(0, value, [0.0]), make_record(0, 0.5, [0.0, value])):
+        bad = plain.copy()
+        bad[5] = value
+        for rec in (
+            make_record(0, value, [0.0]),
+            make_record(0, 0.5, [0.0, value]),
+            # float64 arrays, whose in-range coefficients orjson would write
+            TrialRecord(0, "qmc", 0.5, 1.0, 0.5, bad, 0.0),
+            TrialRecord(0, "qmc", value, 1.0, 0.5, plain, 0.0),
+            TrialRecord(0, "qmc", 0.5, 1.0, 0.5, plain, value),
+        ):
             with pytest.raises(ValueError):
                 rec.to_json_line()
 
@@ -279,6 +289,58 @@ def test_writer_bytes_same_for_array_and_list():
     rec = TrialRecord(3, "refine", 0.25, 1e-05, 1.0, coeffs, 0.0)
     as_array = dataclasses.replace(rec, coeffs=np.array(coeffs))
     assert as_array.to_json_line() == rec.to_json_line()
+
+
+def stdlib_line(rec):
+    """The log line as json writes it: the reference for TrialRecord.to_json_line."""
+    fields = {name: getattr(rec, name) for name in optimizer._LOG_FIELDS}
+    if isinstance(rec.coeffs, np.ndarray):
+        fields["coeffs"] = rec.coeffs.tolist()
+    return json.dumps(fields, allow_nan=False)
+
+
+def test_writer_equals_stdlib_on_every_float(space):
+    rng = np.random.default_rng(20)
+    dim = 140
+    bits = rng.integers(0, 2**64, size=(200, dim), dtype=np.uint64).view(np.float64)
+    bits[~np.isfinite(bits)] = 1.0
+    plain = [
+        rng.uniform(-scale, scale, size=(200, dim)) for scale in (30.0, 1.0, 1e-3)
+    ] + [np.copysign(10.0 ** rng.uniform(-4, 16, size=(200, dim)), rng.uniform(-1, 1, size=(200, dim)))]
+    edges = [np.nextafter(1e-4, 0.0), 1e-4, np.nextafter(1e16, 0.0), 1e16, 5e-324, -0.0, 0.0]
+    edges += [space.c_max, -space.c_max, 1.7976931348623157e308]
+    for value in edges:
+        for sign in (1.0, -1.0):
+            row = rng.uniform(-30.0, 30.0, size=dim)
+            row[rng.integers(dim)] = sign * value
+            plain.append(row[None])
+    fast = 0
+    for rows in [bits, *plain]:
+        for row in rows:
+            rec = TrialRecord(7, "refine", 0.25, 1e-05, 0.5, row.copy(), 0.0)
+            assert rec.to_json_line() == stdlib_line(rec)
+            # orjson's path exactly where every value prints in plain notation
+            in_range = all(v == 0.0 or 1e-4 <= abs(v) < 1e16 for v in row.tolist())
+            assert optimizer._plain_floats(rec.coeffs) == in_range
+            fast += in_range
+    assert fast > 500
+
+
+def test_writer_equals_stdlib_on_every_coefficient_layout():
+    base = np.random.default_rng(21).uniform(-30.0, 30.0, size=40)
+    for coeffs in (
+        base[::2],
+        base.reshape(2, 20),
+        base.astype(np.float32),
+        base.astype(">f8"),
+        np.arange(-5, 5),
+        base.tolist(),
+        np.zeros(0),
+        np.zeros(3),
+    ):
+        rec = TrialRecord(2, "qmc", 0.5, 1.0, 0.5, coeffs, 0.0)
+        assert rec.to_json_line() == stdlib_line(rec)
+    assert optimizer._plain_floats(np.zeros(3)) and not optimizer._plain_floats(base[::2])
 
 
 def assert_records_bitwise_equal(got, want):
@@ -397,19 +459,14 @@ def test_zero_speed_trial_is_infeasible_not_fatal(monkeypatch, tiny_ring):
 def test_zero_speed_at_rk4_midpoint_only_is_infeasible(tiny_ring):
     ring = tiny_ring
     h = (ring.t1 - ring.t0) / ring.n_time
-    # abscissae as integrate_wave_system forms them: t0 + i h, then + h/2 or + h
-    midpoints = np.array([ring.t0 + i * h + 0.5 * h for i in range(ring.n_time)])
+    # abscissae as integrate_wave_system forms them: t0 + i h, then + h
     others = np.array(
         [ring.t0 - ring.fd_step, ring.t0, ring.t0 + ring.fd_step]
         + [ring.t0 + i * h + h for i in range(ring.n_time)]
     )
-    c = np.zeros((2, 2, ring.J + 1, ring.K + 1))
-    # gamma1_t = c / (K + 1) nearly cancels the transport velocity at the fourth midpoint
-    c[0, 1, 0, 0] = -0.999 * (ring.K + 1) * transport_gamma(midpoints[3])[1]
-    tensor = CoefficientTensor(c)
-    v_mid = kinematics_at(midpoints, ring.s_grid, tensor, ring).v
+    # eps_v sits a relative 1e-9 above the midpoint speed, so the two paths' rounding cannot flip it
+    tensor, eps_v = midpoint_dip(ring)
     v_other = kinematics_at(others, ring.s_grid, tensor, ring).v
-    eps_v = float(v_mid.min())
     assert eps_v < float(v_other.min())
     assert evaluate_tensor(tensor, ring)[0] > 0.0
     assert evaluate_tensor(tensor, dataclasses.replace(ring, eps_v=eps_v)) == (0.0, 0.0, 0.0)

@@ -32,3 +32,20 @@ def test_tracer_wraps_every_layer_and_restores_it():
         run.remove()
     for owner, saved in zip(owners, before):
         assert all(vars(owner)[name] is value for name, value in saved.items())
+
+
+def test_tracer_sees_every_log_line(tmp_path):
+    # the log commit is a benchmark boundary: each line must pass through the
+    # wrapped TrialRecord.to_json_line, whichever encoder writes it
+    tracer = load_tracer()
+    run = tracer.Tracer()
+    log = tmp_path / "log.jsonl"
+    ring = ring_model.RingConfig(J=2, K=2, n_s=16, n_time=8)
+    try:
+        tracer.install(run)
+        optimizer.run_study(optimizer.StudyConfig(n_qmc=9, n_refine=2, seed=4), ring, log)
+    finally:
+        run.remove()
+    spans = [span for span in run.spans if span[tracer.NAME] == "optimizer.to_json_line"]
+    assert len(spans) == len(log.read_bytes().splitlines()) == 11
+    assert run.counters["log_bytes"] == log.stat().st_size
