@@ -256,7 +256,6 @@ def cmd_optimize(args) -> int:
         "n_qmc": args.trials_qmc,
         "n_refine": args.trials_refine,
         "seed": args.seed if seed is None else seed,
-        "parallel_width": args.parallel,
     }
     ring, study = load_configs(args.config, **{k: v for k, v in flags.items() if v is not None})
     log_path = Path(args.study)
@@ -364,13 +363,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials-qmc", type=int, default=None, help="low-discrepancy trials")
     p.add_argument("--trials-refine", type=int, default=None, help="refinement trials")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--parallel", type=int, default=None, help="refine proposals per batch")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("render", help="SVG figures from a simulation grid")
     p.add_argument("--grid", required=True, help="grid.csv from simulate")
     p.add_argument("--times", default="initial,terminal")
-    p.add_argument("--format", default="svg", choices=["svg"])
     p.add_argument("--out", default="render_out")
     p.set_defaults(func=cmd_render)
 

@@ -21,9 +21,9 @@ QMC trials are evaluated in stacks of ``QMC_STACK`` through one stacked
 kernel (:func:`evaluate_stack`), refine trials one at a time
 (:func:`evaluate_tensor`); both give the same score for a tensor, bit for
 bit.  Every trial is appended to a JSON-lines log in trial order, so a
-killed study resumes from the log and (in deterministic mode,
-parallel_width = 1) reproduces the exact trial stream it would have run
-uninterrupted.
+killed study resumes from the log and reproduces the exact trial stream it
+would have run uninterrupted: a study's log is byte-identical across runs
+and across kill/resume.
 """
 
 from __future__ import annotations
@@ -32,9 +32,8 @@ import array
 import json
 import operator
 import os
-import time
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -133,9 +132,6 @@ class SearchSpace:
     def unflatten(self, flat: np.ndarray) -> CoefficientTensor:
         return CoefficientTensor.from_flat(flat, self.J, self.K)
 
-    def flatten(self, tensor: CoefficientTensor) -> np.ndarray:
-        return tensor.flatten()
-
     def clip(self, flat: np.ndarray) -> np.ndarray:
         return np.clip(flat, -self.c_max, self.c_max)
 
@@ -150,17 +146,22 @@ class StudyConfig:
     n_refine: int = 50
     seed: int = 0
     strategy: str = "perturb_best"
-    parallel_width: int = 1
+    # Retired.  Only perfbench/inputs.py still passes it (always 1, through
+    # dataclasses.replace), and it goes with that override.  As an InitVar it
+    # is no field: config files, to_dict and dataclasses.fields never see it.
+    parallel_width: InitVar[int] = 1
 
-    def __post_init__(self):
+    def __post_init__(self, parallel_width: int):
         if self.n_qmc < 0 or self.n_refine < 0 or self.n_qmc + self.n_refine < 1:
             raise ValueError("need n_qmc >= 0, n_refine >= 0 and at least one trial")
         if self.strategy not in ("perturb_best", "structured"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "perturb_best" and self.n_qmc == 0 and self.n_refine > 0:
             raise ValueError("the perturb_best strategy refines QMC trials; it needs n_qmc >= 1")
-        if self.parallel_width < 1:
-            raise ValueError("parallel_width must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if parallel_width != 1:
+            raise ValueError("parallel_width is retired; only 1 is accepted")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -174,10 +175,9 @@ class TrialRecord:
     zero-speed point (or aligned nowhere) carries score = madc =
     feasible_fraction = 0.  ``coeffs`` is a read-only float64 array of
     length dim, the flattened tensor: 8 bytes a coefficient, against ~32 in
-    a list of Python floats.  ``elapsed`` is wall seconds: a refine
-    trial's own evaluation, or for a QMC trial its stack's evaluation over
-    the stack size.  It is written as 0.0 in deterministic mode
-    (parallel_width = 1) so logs are byte-reproducible.
+    a list of Python floats.  ``elapsed`` is written as 0.0, so logs are
+    byte-reproducible; the reader accepts any number there, as older logs
+    carry wall seconds.
     """
 
     trial_id: int
@@ -447,7 +447,8 @@ def propose_refinements(
     n: int,
     seed,
     strategy: str = "perturb_best",
-    space: SearchSpace | None = None,
+    *,
+    space: SearchSpace,
     ceiling: FeasibilityCeiling | None = None,
 ) -> list:
     """n in-bounds refinement candidates from the committed history.
@@ -464,8 +465,6 @@ def propose_refinements(
     """
     if n == 0:
         return []
-    if space is None:
-        raise ValueError("propose_refinements requires the search space")
     if strategy not in ("perturb_best", "structured"):
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "structured" and ceiling is None:
@@ -596,11 +595,11 @@ def run_study(
 
     ``limit`` stops the study after that many total committed trials (the
     log stays resumable); the default runs n_qmc + n_refine.  QMC trials
-    run in stacks of ``QMC_STACK`` whatever ``parallel_width``, which sets
-    only the refine proposals per batch.  Records are committed strictly in
-    trial order, one flushed line per trial.  On
-    resume an unterminated final line (a record cut by a kill) is truncated
-    away and its trial runs again.
+    run in stacks of ``QMC_STACK``, refine trials one at a time, each
+    proposed from the history committed before it.  Records are committed
+    strictly in trial order, one flushed line per trial with ``elapsed``
+    0.0.  On resume an unterminated final line (a record cut by a kill) is
+    truncated away and its trial runs again.
     """
     log_path = Path(log_path)
     space = SearchSpace.from_ring_config(ring)
@@ -620,52 +619,45 @@ def run_study(
     ceiling = None
 
     with open(log_path, "a") as log:
-
-        def commit(trial_id, phase, tensor, result, elapsed):
-            score, value, fraction = result
-            coeffs = tensor.flatten()  # a fresh copy
-            coeffs.flags.writeable = False
-            rec = TrialRecord(
-                trial_id=trial_id,
-                phase=phase,
-                score=score,
-                madc=value,
-                feasible_fraction=fraction,
-                coeffs=coeffs,
-                elapsed=0.0 if study.parallel_width == 1 else elapsed,
-            )
-            log.write(rec.to_json_line() + "\n")
-            log.flush()
-            history.append(rec)
-
-        # QMC stacks of QMC_STACK trials, then refine batches of parallel_width,
-        # each evaluated and committed in order
+        # QMC stacks of QMC_STACK trials, then one refine trial at a time,
+        # each committed in trial order
         while len(history) < n_total:
             start_id = len(history)
             if start_id < study.n_qmc:
+                phase = "qmc"
                 stop = min(start_id + QMC_STACK, study.n_qmc, n_total)
                 tensors = _draw_qmc(sobol, space, stop - start_id)
-                start = time.perf_counter()
                 results = evaluate_stack(tensors, ring)
-                elapsed = (time.perf_counter() - start) / len(tensors)
-                for trial_id, tensor, result in zip(range(start_id, stop), tensors, results):
-                    commit(trial_id, "qmc", tensor, result, elapsed)
             else:
                 if study.strategy == "structured" and ceiling is None:
                     ceiling = feasibility_ceiling(ring)
-                stop = min(start_id + study.parallel_width, n_total)
+                phase = "refine"
                 tensors = propose_refinements(
                     history,
-                    stop - start_id,
+                    1,
                     seed=(study.seed, start_id),
                     strategy=study.strategy,
                     space=space,
                     ceiling=ceiling,
                 )
-                for trial_id, tensor in zip(range(start_id, stop), tensors):
-                    start = time.perf_counter()
-                    result = evaluate_tensor(tensor, ring)
-                    commit(trial_id, "refine", tensor, result, time.perf_counter() - start)
+                results = [evaluate_tensor(tensors[0], ring)]
+            for trial_id, (tensor, (score, value, fraction)) in enumerate(
+                zip(tensors, results), start=start_id
+            ):
+                coeffs = tensor.flatten()  # a fresh copy
+                coeffs.flags.writeable = False
+                rec = TrialRecord(
+                    trial_id=trial_id,
+                    phase=phase,
+                    score=score,
+                    madc=value,
+                    feasible_fraction=fraction,
+                    coeffs=coeffs,
+                    elapsed=0.0,
+                )
+                log.write(rec.to_json_line() + "\n")
+                log.flush()
+                history.append(rec)
 
     # max keeps the first of equal scores
     best = max(history, key=operator.attrgetter("score"))

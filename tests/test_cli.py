@@ -107,10 +107,12 @@ def test_simulate_baseline(tmp_path, desk_config_path, capsys):
 
 
 def test_load_configs_angle_convention_is_unknown(tmp_path):
+    # retired keys: a config that names one exits 2 like any other unknown key
     path = tmp_path / "cfg"
-    path.write_text("J = 2\nangle_convention = turns\n")
-    with pytest.raises(ConfigError, match="unknown config key 'angle_convention'"):
-        load_configs(path)
+    for key, value in (("angle_convention", "turns"), ("parallel_width", "1")):
+        path.write_text(f"J = 2\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"unknown config key '{key}'"):
+            load_configs(path)
 
 
 def json_config(tmp_path, values):
@@ -201,6 +203,40 @@ def test_optimize_dimension_above_sobol_limit_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Sobol limit" in err
     assert not study.exists()
+
+
+@pytest.mark.parametrize("strategy, n_qmc", [("perturb_best", 3), ("structured", 0)])
+@pytest.mark.parametrize("where", ["flag", "VAL_SEED", "config"])
+def test_optimize_negative_seed_exits_2(
+    tmp_path, desk_config_path, monkeypatch, capsys, strategy, n_qmc, where
+):
+    # refused before the log exists; with no QMC phase the log used to be opened first
+    text = f"{desk_config_path.read_text()}strategy = {strategy}\nn_qmc = {n_qmc}\n"
+    config = tmp_path / "neg.cfg"
+    config.write_text(text + ("seed = -1\n" if where == "config" else ""))
+    study = tmp_path / "neg" / "study.jsonl"
+    argv = ["optimize", "--config", str(config), "--study", str(study)]
+    if where == "VAL_SEED":
+        monkeypatch.setenv("VAL_SEED", "-1")
+    code = main(argv + (["--seed", "-1"] if where == "flag" else []))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "seed must be >= 0" in err
+    assert not study.parent.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["optimize", "--study", "s.jsonl", "--parallel", "2"],
+        ["render", "--grid", "grid.csv", "--format", "svg"],
+    ],
+)
+def test_retired_flags_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_simulate_infeasible_everywhere_exits_3(tmp_path, capsys):
