@@ -75,15 +75,6 @@ class MeridionalFrame:
         """The frame with ``index`` applied to every component."""
         return MeridionalFrame(self.tau_r[index], self.tau_z[index], self.n_m[index], self.n_w[index])
 
-    def coords(self, r, theta, z) -> tuple:
-        """Components along (tau, n, b) of the vector r e_r + theta e_theta + z e_z."""
-        along_m = self.tau_r * z - self.tau_z * r
-        return (
-            self.tau_r * r + self.tau_z * z,
-            self.n_m * along_m - self.n_w * theta,
-            -self.n_w * along_m - self.n_m * theta,
-        )
-
     def vector(self, along_tau, along_n, along_b) -> tuple:
         """(e_r, e_theta, e_z) components of along_tau tau + along_n n + along_b b."""
         along_m = self.n_m * along_n - self.n_w * along_b
@@ -211,45 +202,69 @@ def frame_from_derivatives(
     )
 
 
-def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V) -> tuple:
+def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V, out=None) -> tuple:
     """(v, v', W, kappa, stationary) from the e_r (a) and e_z (b) components of d1 and d2.
 
     With ``W = a1 b2 - b1 a2``, ``d1 x d2 = -W e_theta``, so
     ``kappa = |W| / v^3`` and the torsion is exactly 0.  ``stationary``
     marks the points with v <= eps_v, where the kinematics are undefined:
-    there v reads 1, so nothing divides by zero, and the caller discards
-    what depends on them.
+    there v and v^2 read 1, so nothing divides by zero, and the caller
+    discards what depends on them.  ``out``, a float array of shape
+    ``(5,) + a1.shape`` (allocated if not given), receives v, v', W, kappa
+    and v^2, in that order; the first four are views of it.
     """
-    v = np.hypot(a1, b1)
+    if out is None:
+        out = np.empty((5,) + np.shape(a1))
+    v, v_t, w, kappa, v_sq = out
+    # v_t and kappa hold products until their own values are formed
+    np.multiply(a1, a1, out=v_sq)
+    v_sq += np.multiply(b1, b1, out=kappa)
+    np.sqrt(v_sq, out=v)
     stationary = v <= eps_v
     if stationary.any():
-        v = np.where(stationary, 1.0, v)
-    v_t = (a1 * a2 + b1 * b2) / v
-    w = a1 * b2 - b1 * a2
-    return v, v_t, w, np.abs(w) / v**3, stationary
+        np.copyto(v, 1.0, where=stationary)
+        np.copyto(v_sq, 1.0, where=stationary)
+    np.multiply(a1, a2, out=v_t)
+    v_t += np.multiply(b1, b2, out=kappa)
+    v_t /= v
+    np.multiply(a1, b2, out=w)
+    w -= np.multiply(b1, a2, out=kappa)
+    np.abs(w, out=kappa)
+    kappa /= v_sq
+    kappa /= v
+    return v, v_t, w, kappa, stationary
 
 
-def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA):
+def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA, out=None):
     """The frame of :func:`frame_from_derivatives` as a :class:`MeridionalFrame`.
 
     Regular points have ``n = sign(W) m``; where kappa < eps_kappa the
     fallback gives ``n = unit(z_hat x tau) = sign(a1) e_theta``, or
     ``unit(x_hat x tau)`` where tau is nearly vertical (``azimuth`` is the
-    angle of e_r from the x axis).
+    angle of e_r from the x axis).  ``out``, a float array of shape
+    ``(4,) + v.shape`` (allocated if not given), holds the frame's
+    components tau_r, tau_z, n_m and n_w.
     """
+    if out is None:
+        out = np.empty((4,) + np.shape(v))
+    tau_r, tau_z, n_m, n_w = out
+    np.divide(a1, v, out=tau_r)
+    np.divide(b1, v, out=tau_z)
+    np.sign(w, out=n_m)
+    n_w.fill(0.0)
     degenerate = kappa < eps_kappa
-    tau_r, tau_z = a1 / v, b1 / v
-    # sign(a1) e_theta = -sign(a1) w on degenerate points
-    n_m = np.where(degenerate, 0.0, np.sign(w))
-    n_w = np.where(degenerate, -np.sign(a1), 0.0)
-    vertical = degenerate & (np.abs(tau_r) < _FALLBACK_EPS)
-    if np.any(vertical):
-        # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
-        along_m = np.broadcast_to(np.sin(azimuth), v.shape)
-        along_w = np.cos(azimuth) * tau_z
-        # zero only at a stationary point, where tau is (a1, b1) itself and may vanish
-        norm = np.hypot(along_m, along_w)
-        norm = np.where(norm > 0.0, norm, 1.0)
-        n_m = np.where(vertical, along_m / norm, n_m)
-        n_w = np.where(vertical, along_w / norm, n_w)
+    if degenerate.any():
+        # sign(a1) e_theta = -sign(a1) w on degenerate points
+        np.copyto(n_m, 0.0, where=degenerate)
+        np.copyto(n_w, -np.sign(a1), where=degenerate)
+        vertical = degenerate & (np.abs(tau_r) < _FALLBACK_EPS)
+        if vertical.any():
+            # x_hat x tau has components sin(azimuth) along m and cos(azimuth) tau_z along w
+            along_m = np.broadcast_to(np.sin(azimuth), v.shape)
+            along_w = np.cos(azimuth) * tau_z
+            # zero only at a stationary point, where tau is (a1, b1) itself and may vanish
+            norm = np.hypot(along_m, along_w)
+            norm = np.where(norm > 0.0, norm, 1.0)
+            np.copyto(n_m, along_m / norm, where=vertical)
+            np.copyto(n_w, along_w / norm, where=vertical)
     return MeridionalFrame(tau_r=tau_r, tau_z=tau_z, n_m=n_m, n_w=n_w)

@@ -75,10 +75,12 @@ __all__ = [
 _SOBOL_MAX_DIM = 21201
 
 # QMC trials evaluated per kernel call.  Per-trial cost at stack sizes
-# 1/2/4/8/16/32/64 on a 2-vCPU Xeon (medians of three passes over 64 Sobol
-# tensors): 0.49/0.41/0.35/0.36/0.47/0.46/0.55 ms at the desk shape and
-# 1.09/0.97/0.86/0.81/0.89/1.31/1.38 ms at full scale.  Larger stacks lose
-# because their temporaries no longer fit in the cache.
+# 1/2/4/8/16/32/64 on a 2-vCPU Xeon, each size in a fresh process (medians of
+# five passes over 64 Sobol tensors): 0.65/0.46/0.38/0.36/0.33/0.41/0.40 ms at
+# the desk shape and 0.98/0.83/0.65/0.58/0.63/0.68/0.76 ms at full scale, with
+# at most one minor page fault per call at any size (0.2 at 8).  16 gains
+# little at the desk shape and loses at full scale, where larger stacks' arrays
+# no longer fit in the cache.
 QMC_STACK = 8
 
 _LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeffs", "elapsed")
@@ -594,13 +596,16 @@ def run_study(
     """Run (or resume) the two-phase study, appending to the JSONL log.
 
     ``limit`` stops the study after that many total committed trials (the
-    log stays resumable); the default runs n_qmc + n_refine.  QMC trials
+    log stays resumable); the default runs n_qmc + n_refine.  A limit below
+    1 raises ValueError before the log is opened.  QMC trials
     run in stacks of ``QMC_STACK``, refine trials one at a time, each
     proposed from the history committed before it.  Records are committed
     strictly in trial order, one flushed line per trial with ``elapsed``
     0.0.  On resume an unterminated final line (a record cut by a kill) is
     truncated away and its trial runs again.
     """
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
     log_path = Path(log_path)
     space = SearchSpace.from_ring_config(ring)
     n_total = study.n_qmc + study.n_refine

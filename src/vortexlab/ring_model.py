@@ -26,6 +26,7 @@ stretches).  :func:`kinematics_at` is the generic Cartesian reference.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, asdict
 from pathlib import Path
@@ -380,11 +381,14 @@ class _RowGrid:
     """The coefficient-free part of Phi on ``times`` x ``cfg.s_grid`` (read-only arrays).
 
     ``pows`` stacks the order-1 and order-2 time powers of every row over
-    the order-0 powers of ``tangent_rows``; ``basis`` is the Fourier basis
-    beside its s-derivative, over K+1; ``transport`` is (Gamma', Gamma'')
-    per row, and ``radius`` is R + Gamma on the tangent rows.  Both carry a
-    unit trial axis after the row axis (``transport`` a unit s axis too),
-    to broadcast against the (rows, B, n_s) arrays of :meth:`evaluate`.
+    the order-0 powers of ``tangent_rows``; ``basis`` stacks the Fourier
+    basis over its s-derivative, over K+1; ``transport`` is (Gamma',
+    Gamma'') per row, and ``radius`` is R + Gamma on the tangent rows.  Both
+    carry a unit trial axis after the row axis (``transport`` a unit s axis
+    too), to broadcast against the (rows, B, n_s) arrays of :meth:`evaluate`.
+
+    Beside the constants a grid keeps the arrays its kernels write into
+    (:meth:`buffer`), so one evaluation at a time may run on it.
     """
 
     tangent_rows: np.ndarray
@@ -402,7 +406,7 @@ class _RowGrid:
         grid = cls(
             tangent_rows,
             np.concatenate([pows[1], pows[2], pows[0, tangent_rows]]),
-            np.hstack(_fourier_basis(cfg.s_grid, cfg.K)) / (cfg.K + 1.0),
+            np.stack(_fourier_basis(cfg.s_grid, cfg.K)) / (cfg.K + 1.0),
             np.stack([gamma_t, gamma_tt]),
             radius_profile(cfg.s_grid, cfg.delta) + gamma[tangent_rows],
             radius_profile_deriv(cfg.s_grid, cfg.delta),
@@ -412,37 +416,86 @@ class _RowGrid:
             getattr(grid, field.name).flags.writeable = False
         return grid
 
+    @functools.cached_property
+    def _buffers(self) -> dict:
+        return {}
+
+    def buffer(self, name: str, shape: tuple) -> np.ndarray:
+        """The grid's array ``name`` of ``shape``: allocated at the first request, the same array after.
+
+        Kernels write their (rows, B, n_s) arrays here rather than into new
+        ones, which the allocator would hand back to the OS and fault in
+        again on every call.  What a kernel returns in them is valid until
+        the next kernel call on the grid with a stack of the same size.
+        """
+        key = (name, shape)
+        out = self._buffers.get(key)
+        if out is None:
+            out = self._buffers[key] = np.empty(shape)
+        return out
+
     def evaluate(self, c: np.ndarray, cfg: RingConfig) -> tuple:
         """Kinematics, frame and ring tangent of a stack of coefficient arrays.
 
-        ``c`` has shape (B, 2, 2, J+1, K+1).  Returns (v, v', kappa) on
+        ``c`` has shape (B, 2, 2, J+1, K+1).  Returns (v, v', kappa, v^2) on
         every row, the MeridionalFrame and the unit ring tangent on the
         tangent rows, each array shaped (rows, B, n_s), and the (B,) mask
         of trials with a zero speed (v <= eps_v) on some row, whose other
         outputs are finite but meaningless.  The tangent is given by its
-        components along (tau, n, b), NaN where dPhi/ds vanishes.
+        components along (tau, n, b), NaN where dPhi/ds vanishes.  The
+        arrays are the grid's buffers (:meth:`buffer`).
 
         Two matrix products: the coefficients against the basis gives each
         power of (t - t0) as a function of s, and the time-power table
         against that gives the rows.  Each output element is a sum over one
         trial's coefficients only, in an order that does not depend on B.
         """
-        n, n_s, width = self.transport.shape[1], cfg.n_s, len(self.basis)
-        # rows (j, gamma1/gamma2, trial) by columns (sine/cosine, k)
-        coeffs = c.transpose(3, 1, 0, 2, 4).reshape(-1, width)
-        series = (coeffs @ self.basis).reshape(cfg.J + 1, -1, 2 * n_s)
-        values = self.pows @ series[..., :n_s].reshape(cfg.J + 1, -1)
-        values = values.reshape(len(self.pows), 2, -1, n_s)
-        (a1, b1), (a2, b2) = values[:n].swapaxes(0, 1), values[n : 2 * n].swapaxes(0, 1)
-        a1, a2 = a1 + self.transport[0], a2 + self.transport[1]
-        v, v_t, w, kappa, stationary = _speed_curvature(a1, a2, b1, b2, cfg.eps_v)
-        on_rows = (x[self.tangent_rows] for x in (a1, b1, v, w, kappa))
-        frame = _meridional_frame(*on_rows, self.azimuth, cfg.eps_kappa)
-        slopes = self.pows[2 * n :] @ series[..., n_s:].reshape(cfg.J + 1, -1)
-        slopes = slopes.reshape(-1, 2, len(c), n_s)
-        r, z = self.radius_s + slopes[:, 0], slopes[:, 1]
-        theta = 2.0 * np.pi * (self.radius + values[2 * n :, 0])
-        norm = np.sqrt(r * r + theta * theta + z * z)
-        norm = np.where(norm > 0.0, norm, np.nan)
-        tangent = tuple(x / norm for x in frame.coords(r, theta, z))
-        return (v, v_t, kappa), frame, tangent, stationary.any(axis=(0, 2))
+        n, n_tan, n_s, size = self.transport.shape[1], len(self.tangent_rows), cfg.n_s, len(c)
+        buffer = self.buffer
+        # rows (gamma1/gamma2, j, trial) by columns (sine/cosine, k)
+        coeffs = c.transpose(1, 3, 0, 2, 4).reshape(-1, self.basis.shape[1])
+        series = np.matmul(coeffs, self.basis, out=buffer("series", (2, len(coeffs), n_s)))
+        # (gamma1/gamma2, row, trial, s): the order-1 and order-2 rows, then the tangent rows' order 0
+        values = buffer("values", (2, len(self.pows), size, n_s))
+        np.matmul(self.pows, series[0].reshape(2, cfg.J + 1, -1), out=values.reshape(2, len(self.pows), -1))
+        (a1, a2, g1), (b1, b2, _) = ((x[:n], x[n : 2 * n], x[2 * n :]) for x in values)
+        a1 += self.transport[0]
+        a2 += self.transport[1]
+        speed = buffer("speed", (5, n, size, n_s))
+        v, v_t, w, kappa, stationary = _speed_curvature(a1, a2, b1, b2, cfg.eps_v, out=speed)
+        v_sq = speed[4]
+        on_rows = buffer("on_rows", (5, n_tan, size, n_s))
+        for x, out in zip((a1, b1, v, w, kappa), on_rows):
+            # mode="clip" writes straight into out, where the default mode buffers
+            np.take(x, self.tangent_rows, axis=0, out=out, mode="clip")
+        frame = buffer("frame", (4, n_tan, size, n_s))
+        frame = _meridional_frame(*on_rows, self.azimuth, cfg.eps_kappa, out=frame)
+
+        # dPhi/ds = r e_r + theta e_theta + z e_z on the tangent rows
+        slopes = buffer("slopes", (2, n_tan, size, n_s))
+        np.matmul(self.pows[2 * n :], series[1].reshape(2, cfg.J + 1, -1), out=slopes.reshape(2, n_tan, -1))
+        (r, z), theta = slopes, g1
+        r += self.radius_s
+        theta += self.radius
+        theta *= 2.0 * np.pi
+        norm, scratch = buffer("norm", (2, n_tan, size, n_s))
+        np.multiply(r, r, out=norm)
+        norm += np.multiply(theta, theta, out=scratch)
+        norm += np.multiply(z, z, out=scratch)
+        np.sqrt(norm, out=norm)
+        np.copyto(norm, np.nan, where=norm == 0.0)
+        # its components along (tau, n, b); m = -tau_z e_r + tau_r e_z, w = -e_theta
+        tangent = buffer("tangent", (3, n_tan, size, n_s))
+        along_tau, along_n, along_b = tangent
+        np.multiply(frame.tau_r, z, out=along_b)
+        along_b -= np.multiply(frame.tau_z, r, out=scratch)  # along m
+        np.multiply(frame.n_m, along_b, out=along_n)
+        along_n -= np.multiply(frame.n_w, theta, out=scratch)
+        along_b *= frame.n_w
+        along_b += np.multiply(frame.n_m, theta, out=scratch)
+        np.negative(along_b, out=along_b)
+        np.multiply(frame.tau_r, r, out=along_tau)
+        along_tau += np.multiply(frame.tau_z, z, out=scratch)
+        for x in tangent:
+            x /= norm
+        return (v, v_t, kappa, v_sq), frame, tuple(tangent), stationary.any(axis=(0, 2))

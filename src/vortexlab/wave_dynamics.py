@@ -26,6 +26,16 @@ Cartesian axes are formed only on :class:`AxisField` access.
 The grid path evaluates a stack of B coefficient arrays at once: every
 array it handles carries a trial axis right after its row (time) axis, and
 the single-tensor functions are stacks of one.
+
+Buffer lifetime: the grid path writes its (rows, B, n_s) arrays into
+buffers that the cached grid keeps per stack size (``_RowGrid.buffer``),
+not into new arrays.  So an array the stacked kernels return
+(``_axis_fields``, ``_RowGrid.evaluate``) is valid only until the next
+kernel call with a stack of the same size, and one kernel call at a time
+may run per config.  Nothing leaves the module in a buffer:
+:func:`axis_field`, :func:`aligned_initial_state` and
+:func:`initial_corr_rate` return arrays of their own, and a caller of
+``_axis_fields`` reads what it needs before its next call.
 """
 
 from __future__ import annotations
@@ -91,7 +101,10 @@ class AxisField:
     tangent: tuple
 
     def trial(self, b: int) -> "AxisField":
-        """Trial ``b`` of a stacked field, whose arrays carry a trial axis after the time axis."""
+        """Trial ``b`` of a stacked field, whose arrays carry a trial axis after the time axis.
+
+        The trial's arrays are views of the stacked field's.
+        """
         return AxisField(
             t_nodes=self.t_nodes,
             s_grid=self.s_grid,
@@ -101,6 +114,20 @@ class AxisField:
             alpha1=self.alpha1[:, b],
             alpha2=self.alpha2[:, b],
             tangent=tuple(x[:, b] for x in self.tangent),
+        )
+
+    def copy(self) -> "AxisField":
+        """The field with arrays of its own."""
+        frame = self.frame
+        return AxisField(
+            t_nodes=self.t_nodes.copy(),
+            s_grid=self.s_grid.copy(),
+            corr=self.corr.copy(),
+            feasible=self.feasible.copy(),
+            frame=MeridionalFrame(*(x.copy() for x in (frame.tau_r, frame.tau_z, frame.n_m, frame.n_w))),
+            alpha1=self.alpha1.copy(),
+            alpha2=self.alpha2.copy(),
+            tangent=tuple(x.copy() for x in self.tangent),
         )
 
     @property
@@ -254,16 +281,22 @@ def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
     return init, feasible
 
 
-def _cumulative_simpson(f: np.ndarray, width) -> np.ndarray:
-    """Integral of f from row 0 to each even row, rows in (lo, mid, hi) panels of ``width``."""
-    panels = (width / 6.0) * (f[0:-1:2] + 4.0 * f[1::2] + f[2::2])
-    return np.concatenate([np.zeros_like(panels[:1]), np.cumsum(panels, axis=0)])
+def _cumulative_simpson(f: np.ndarray, width, out: np.ndarray) -> np.ndarray:
+    """Integral of f from row 0 to each even row, rows in (lo, mid, hi) panels of ``width``, into ``out``."""
+    panels = out[1:]
+    np.multiply(f[1::2], 4.0, out=panels)
+    panels += f[0:-1:2]
+    panels += f[2::2]
+    panels *= width / 6.0
+    out[0] = 0.0
+    np.cumsum(panels, axis=0, out=panels)
+    return out
 
 
-def _propagate(speed: tuple, rows, init: AlphaState, width) -> tuple:
-    """Exact wave-equation state (alpha1, alpha2, alpha1', alpha2') at even ``rows``.
+def _propagate(speed: tuple, rows, init: AlphaState, width, buffer) -> tuple:
+    """Exact wave-equation solution (alpha1, alpha2) at even ``rows``, in ``buffer`` arrays.
 
-    ``speed`` is (v, v', kappa) on a grid whose ``rows`` run along axis 0 as
+    ``speed`` is (v, v', kappa, v^2) on a grid whose ``rows`` run along axis 0 as
     chained (lo, mid, hi) Simpson panels of signed ``width``, the first at
     t0.  As v solves y'' = (v''/v) y and v (2 v kappa' + 4 v' kappa) =
     2 (v^2 kappa)', the first integrals
@@ -271,19 +304,25 @@ def _propagate(speed: tuple, rows, init: AlphaState, width) -> tuple:
     give, with both integrals by composite Simpson (O(h^4), as RK4 is),
         alpha1 = v (alpha1_0/v0 + int 2 kappa dt + C1 int v^-2 dt)
         alpha2 = v (alpha2_0/v0 + C2 int v^-2 dt).
+    ``buffer(name, shape)`` supplies the arrays (see ``_RowGrid.buffer``).
     """
-    v, v_t, kappa = (x[rows] for x in speed)
+    v, v_t, kappa, v_sq = (x[rows] for x in speed)
     v0, v0_t = v[0], v_t[0]
     c1 = v0 * init.alpha1_t - v0_t * init.alpha1 - 2.0 * v0 * v0 * kappa[0]
     c2 = v0 * init.alpha2_t - v0_t * init.alpha2
-    bend = _cumulative_simpson(2.0 * kappa, width)
-    drift = _cumulative_simpson(1.0 / (v * v), width)
-    v, v_t, kappa = v[::2], v_t[::2], kappa[::2]
-    alpha1 = v * (init.alpha1 / v0 + bend + c1 * drift)
-    alpha2 = v * (init.alpha2 / v0 + c2 * drift)
-    alpha1_t = (v_t * alpha1 + 2.0 * v * v * kappa + c1) / v
-    alpha2_t = (v_t * alpha2 + c2) / v
-    return alpha1, alpha2, alpha1_t, alpha2_t
+    v = v[::2]
+    # Simpson over 2 kappa with width w equals Simpson over kappa with width 2 w, bit for bit
+    alpha1 = _cumulative_simpson(kappa, 2.0 * width, buffer("alpha1", v.shape))
+    inverse = np.divide(1.0, v_sq, out=buffer("inverse_v_sq", v_sq.shape))
+    alpha2 = _cumulative_simpson(inverse, width, buffer("alpha2", v.shape))
+    # alpha1 holds int 2 kappa dt and alpha2 int v^-2 dt until they are scaled
+    alpha1 += init.alpha1 / v0
+    alpha1 += np.multiply(c1, alpha2, out=buffer("alpha_scratch", v.shape))
+    alpha1 *= v
+    alpha2 *= c2
+    alpha2 += init.alpha2 / v0
+    alpha2 *= v
+    return alpha1, alpha2
 
 
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
@@ -305,9 +344,22 @@ def _swirl_axis(alpha1: np.ndarray, alpha2: np.ndarray) -> tuple:
     return 1.0 / norm, -alpha1 / norm, -alpha2 / norm
 
 
-def _correlation(swirl: tuple, tangent: tuple) -> np.ndarray:
-    """Dot product of two unit axes given by their frame components."""
-    return swirl[0] * tangent[0] + swirl[1] * tangent[1] + swirl[2] * tangent[2]
+def _correlation(alpha1: np.ndarray, alpha2: np.ndarray, tangent, buffer) -> np.ndarray:
+    """Dot product of the unit swirl axis and the unit ring tangent, in a ``buffer`` array.
+
+    The swirl axis is (1, -alpha1, -alpha2) / sqrt(1 + alpha1^2 + alpha2^2)
+    and ``tangent`` holds the tangent's components, both along (tau, n, b).
+    """
+    corr, norm, scratch = buffer("corr", (3,) + alpha1.shape)
+    np.multiply(alpha1, tangent[1], out=corr)
+    np.subtract(tangent[0], corr, out=corr)
+    corr -= np.multiply(alpha2, tangent[2], out=scratch)
+    np.multiply(alpha1, alpha1, out=norm)
+    norm += 1.0
+    norm += np.multiply(alpha2, alpha2, out=scratch)
+    np.sqrt(norm, out=norm)
+    corr /= norm
+    return corr
 
 
 def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
@@ -330,9 +382,9 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     _only_trial(zero, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
     panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
-    alpha1, alpha2, _, _ = _propagate(speed, panels, init, (targets - t0)[:, None, None])
-    swirl = _swirl_axis(alpha1[-1], alpha2[-1])
-    plus_half, minus_half, plus, minus = _correlation(swirl, [x[panels[-1]] for x in tangent])
+    alpha1, alpha2 = _propagate(speed, panels, init, (targets - t0)[:, None, None], grid.buffer)
+    ends = [x[panels[-1]] for x in tangent]
+    plus_half, minus_half, plus, minus = _correlation(alpha1[-1], alpha2[-1], ends, grid.buffer)
 
     rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
     return np.where(feasible, rate, np.nan)[0]
@@ -343,15 +395,18 @@ def _axis_fields(c: np.ndarray, cfg: RingConfig) -> tuple:
 
     The field's arrays carry the trial axis after the time axis
     (:meth:`AxisField.trial` takes one out); the (B,) mask marks trials
-    with a zero speed on some row, whose fields are meaningless.
+    with a zero speed on some row, whose fields are meaningless.  The
+    field's arrays are the trial grid's buffers for a stack of B.
     """
-    speed, frame, tangent, zero = _trial_grid(cfg).evaluate(c, cfg)
+    grid = _trial_grid(cfg)
+    speed, frame, tangent, zero = grid.evaluate(c, cfg)
     init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
-    alpha1, alpha2, _, _ = _propagate(speed, slice(2, None), init, (cfg.t1 - cfg.t0) / cfg.n_time)
-
+    width = (cfg.t1 - cfg.t0) / cfg.n_time
+    alpha1, alpha2 = _propagate(speed, slice(2, None), init, width, grid.buffer)
     tangent = tuple(x[2:] for x in tangent)
-    swirl = _swirl_axis(alpha1, alpha2)
-    corr = np.where(feasible, np.clip(_correlation(swirl, tangent), -1.0, 1.0), np.nan)
+    corr = _correlation(alpha1, alpha2, tangent, grid.buffer)
+    # NaN on infeasible columns, whose alpha1 and alpha2 are NaN
+    np.clip(corr, -1.0, 1.0, out=corr)
     field = AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
@@ -378,4 +433,4 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """
     field, zero = _axis_fields(c.c[None], cfg)
     _only_trial(zero, cfg)
-    return field.trial(0)
+    return field.trial(0).copy()

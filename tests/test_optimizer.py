@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import sys
 import tracemalloc
 import types
 import warnings
@@ -36,7 +37,7 @@ from vortexlab.ring_model import (
     radius_profile_deriv,
     transport_gamma,
 )
-from vortexlab.wave_dynamics import axis_field
+from vortexlab.wave_dynamics import aligned_initial_state, axis_field
 
 DESK = RingConfig(J=4, K=6, n_s=64, n_time=32)
 
@@ -141,6 +142,14 @@ def test_run_study_single_trial(tiny_ring, tmp_path):
     assert summary["best_trial_id"] == 0
     assert summary["n_trials"] == 1
     assert summary["seed"] == 1
+
+
+@pytest.mark.parametrize("limit", [0, -3])
+def test_run_study_refuses_limit_below_one(tiny_ring, tmp_path, limit):
+    log = tmp_path / "trials.jsonl"
+    with pytest.raises(ValueError, match="limit"):
+        run_study(StudyConfig(n_qmc=4, n_refine=0), tiny_ring, log, limit=limit)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_study_deterministic_logs(tiny_ring, tmp_path):
@@ -518,6 +527,10 @@ def test_evaluate_stack_equals_one_trial_at_a_time(ring):
     tensors = [drawn[0], dip, drawn[1], closed, drawn[2], stop, *drawn[3:]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
+        # the kernels write into buffers kept per stack size: what leaves them must not be one
+        field, (init, feasible) = axis_field(drawn[0], ring), aligned_initial_state(drawn[0], ring)
+        # astuple copies every array
+        kept = dataclasses.astuple(field), dataclasses.astuple(init), feasible.copy()
         for tensor in (dip, stop):
             with pytest.raises(ZeroSpeed):
                 axis_field(tensor, ring)
@@ -525,10 +538,28 @@ def test_evaluate_stack_equals_one_trial_at_a_time(ring):
         want = [evaluate_tensor(tensor, ring) for tensor in tensors]
         assert want[1] == want[3] == want[5] == (0.0, 0.0, 0.0)
         assert all(result[0] > 0.0 for i, result in enumerate(want) if i not in (1, 3, 5))
-        for size in (1, 3, 8):
+        # a size's buffers hold the same results after stacks of other sizes used theirs
+        for size in (8, 1, 3, 8):
             got = [r for i in range(0, 8, size) for r in evaluate_stack(tensors[i : i + size], ring)]
             assert got == want, size
             assert all(type(x) is float for result in got for x in result)
+    np.testing.assert_equal((dataclasses.astuple(field), dataclasses.astuple(init), feasible), kept)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="counts minor page faults through resource, as Linux reports them")
+def test_stacked_kernel_reuses_its_buffers():
+    resource = pytest.importorskip("resource")
+    ring = RingConfig()
+    tensors = sample_qmc(SearchSpace.from_ring_config(ring), optimizer.QMC_STACK, seed=0)
+    for _ in range(3):
+        evaluate_stack(tensors, ring)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(20):
+        evaluate_stack(tensors, ring)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # arrays of a full-scale stack that are new on every call are handed back to the OS and
+    # faulted in again: ~2,900 faults per call
+    assert faults / 20 < 1.0
 
 
 def test_resume_across_qmc_stacks_is_byte_identical(tiny_ring, tmp_path):
