@@ -24,7 +24,6 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .geometry import ZeroSpeed
 from .madc import madc
 from .optimizer import (
     CorruptTrialLog,
@@ -56,7 +55,6 @@ _EXIT_CODES = {
     ConfigError: (2, ""),
     DimensionTooLarge: (2, ""),
     OSError: (2, ""),
-    ZeroSpeed: (3, "infeasible everywhere: "),
     NoFeasibleHistory: (3, "infeasible everywhere: "),
     CorruptTrialLog: (4, "cannot resume: "),
 }
@@ -219,7 +217,7 @@ def cmd_simulate(args) -> int:
         print(
             "error: no angular point admits the initial axis alignment "
             "(the ring tangent nowhere has a positive component along the "
-            "trajectory tangent)",
+            "trajectory tangent, or a trajectory point is stationary)",
             file=sys.stderr,
         )
         return 3

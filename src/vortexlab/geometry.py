@@ -42,7 +42,9 @@ class ZeroSpeed(ValueError):
     """Trajectory point with |dPhi/dt| at or below the speed threshold.
 
     The arc-length reparameterization needs v > 0; a stationary point makes
-    the moving frame (and everything downstream) undefined.
+    the moving frame (and everything downstream) undefined.  Only
+    :func:`frame_from_derivatives`, the reference, raises it: the trial
+    path marks such a trial infeasible on every column instead.
     """
 
 
@@ -208,10 +210,11 @@ def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V, out=None) -> 
     With ``W = a1 b2 - b1 a2``, ``d1 x d2 = -W e_theta``, so
     ``kappa = |W| / v^3`` and the torsion is exactly 0.  ``stationary``
     marks the points with v <= eps_v, where the kinematics are undefined:
-    there v and v^2 read 1, so nothing divides by zero, and the caller
-    discards what depends on them.  ``out``, a float array of shape
-    ``(5,) + a1.shape`` (allocated if not given), receives v, v', W, kappa
-    and v^2, in that order; the first four are views of it.
+    there v and v^2 read 1, so nothing divides by zero, and the trial path
+    makes every column of a trial with such a point infeasible.  ``out``, a
+    float array of shape ``(5,) + a1.shape`` (allocated if not given),
+    receives v, v', W, kappa and v^2, in that order; the first four are
+    views of it.
     """
     if out is None:
         out = np.empty((5,) + np.shape(a1))

@@ -50,7 +50,6 @@ from .ring_model import (
     radius_profile_deriv,
     transport_gamma,
 )
-from .geometry import ZeroSpeed
 from .wave_dynamics import _axis_fields, _rate_stencil, aligned_initial_state, axis_field
 
 __all__ = [
@@ -173,11 +172,11 @@ class StudyConfig:
 class TrialRecord:
     """One optimizer evaluation as logged; records compare (and hash) by identity.
 
-    ``score`` is madc * feasible_fraction; a trial whose evaluation hit a
-    zero-speed point (or aligned nowhere) carries score = madc =
-    feasible_fraction = 0.  ``coeffs`` is a read-only float64 array of
-    length dim, the flattened tensor: 8 bytes a coefficient, against ~32 in
-    a list of Python floats.  ``elapsed`` is written as 0.0, so logs are
+    ``score`` is madc * feasible_fraction; a trial with no feasible column
+    (it aligns nowhere, or a point of its grid is stationary) carries
+    score = madc = feasible_fraction = 0.  ``coeffs`` is a read-only
+    float64 array of length dim, the flattened tensor: 8 bytes a
+    coefficient, against ~32 in a list of Python floats.  ``elapsed`` is written as 0.0, so logs are
     byte-reproducible; the reader accepts any number there, as older logs
     carry wall seconds.
     """
@@ -346,15 +345,12 @@ class FeasibilityCeiling:
 def row_feasibility(row, ring: RingConfig) -> np.ndarray:
     """Feasibility mask of the tensor that is zero except its j=0 gamma1 row.
 
-    This is the trial path's own mask (:func:`aligned_initial_state`); a
-    zero-speed point reads as no column feasible, as in :func:`evaluate_tensor`.
+    This is the trial path's own mask (:func:`aligned_initial_state`), so a
+    zero-speed point reads as no column feasible.
     """
     space = SearchSpace.from_ring_config(ring)
     tensor = space.unflatten(_with_row(np.zeros(space.dim), row, space))
-    try:
-        return aligned_initial_state(tensor, ring)[1]
-    except ZeroSpeed:
-        return np.zeros(ring.n_s, dtype=bool)
+    return aligned_initial_state(tensor, ring)[1]
 
 
 def _contiguous_runs(indices: np.ndarray) -> list:
@@ -491,13 +487,10 @@ def propose_refinements(
 def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
     """(score, madc, feasible_fraction) for one coefficient tensor.
 
-    A zero-speed trajectory anywhere on the evaluation grid marks the trial
-    infeasible rather than raising.
+    A zero-speed trajectory anywhere on the evaluation grid leaves no column
+    feasible, so the trial reads (0.0, 0.0, 0.0).
     """
-    try:
-        report = madc(axis_field(tensor, ring), ring)
-    except ZeroSpeed:
-        return 0.0, 0.0, 0.0
+    report = madc(axis_field(tensor, ring), ring)
     return report.score, report.madc, report.feasible_fraction
 
 
@@ -506,17 +499,12 @@ def evaluate_stack(tensors: list, ring: RingConfig) -> list:
 
     The scores equal the one-at-a-time ones bit for bit: the stacked kernel
     sums each trial's terms in the same order whatever the stack, and each
-    trial's MADC is its own call.
+    trial's MADC is its own call.  A stationary point closes the columns of
+    its own trial only, which reads (0.0, 0.0, 0.0).
     """
-    field, zero = _axis_fields(np.stack([tensor.c for tensor in tensors]), ring)
-    results = []
-    for b, stationary in enumerate(zero):
-        if stationary:
-            results.append((0.0, 0.0, 0.0))
-            continue
-        report = madc(field.trial(b), ring)
-        results.append((report.score, report.madc, report.feasible_fraction))
-    return results
+    field = _axis_fields(np.stack([tensor.c for tensor in tensors]), ring)
+    reports = [madc(field.trial(b), ring) for b in range(len(tensors))]
+    return [(report.score, report.madc, report.feasible_fraction) for report in reports]
 
 
 def _coeff_array(coeffs, dim: int, line_no: int) -> np.ndarray:

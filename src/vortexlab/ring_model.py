@@ -90,12 +90,14 @@ class RingConfig:
             raise ValueError(f"n_s must be >= 4, got {self.n_s}")
         if not 0.0 <= self.delta < 1.0:
             raise ValueError(f"delta must be in [0, 1), got {self.delta}")
-        if self.c_max <= 0.0:
-            raise ValueError(f"c_max must be > 0, got {self.c_max}")
         if self.J < 0 or self.K < 0:
             raise ValueError(f"J, K must be >= 0, got J={self.J}, K={self.K}")
-        if self.fd_step_factor <= 0.0:
-            raise ValueError(f"fd_step_factor must be > 0, got {self.fd_step_factor}")
+        # eps_v <= 0 turns the zero-speed gate off, eps_kappa <= 0 the straight-stretch fallback
+        for name in ("c_max", "eps_v", "eps_kappa", "fd_step_factor"):
+            if getattr(self, name) <= 0.0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.eps_align < 0.0:
+            raise ValueError(f"eps_align must be >= 0, got {self.eps_align}")
 
     @property
     def fd_step(self) -> float:
@@ -441,7 +443,8 @@ class _RowGrid:
         every row, the MeridionalFrame and the unit ring tangent on the
         tangent rows, each array shaped (rows, B, n_s), and the (B,) mask
         of trials with a zero speed (v <= eps_v) on some row, whose other
-        outputs are finite but meaningless.  The tangent is given by its
+        outputs are finite but meaningless: the aligned start makes every
+        column of such a trial infeasible.  The tangent is given by its
         components along (tau, n, b), NaN where dPhi/ds vanishes.  The
         arrays are the grid's buffers (:meth:`buffer`).
 

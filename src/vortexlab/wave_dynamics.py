@@ -11,7 +11,9 @@ zeta = tau - alpha1 n - alpha2 b; the ring tangent zeta* = dPhi/ds is the
 vortex axis.  Initial data are chosen so the two unit axes start perfectly
 aligned with vanishing alignment rate; columns where that is impossible
 (zeta* has no positive tangent component) are flagged infeasible and carry
-NaN correlations.
+NaN correlations.  The frame and the wave equations need v > 0, so a
+trial with a stationary point (v <= eps_v) on any row of its grid is
+infeasible on every column.
 
 The trial path solves the equations by their exact first integrals
 (``_propagate``); :func:`integrate_wave_system`, RK4 on
@@ -46,7 +48,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import FrenetFrame, MeridionalFrame, TrajectoryKinematics, ZeroSpeed
+from .geometry import FrenetFrame, MeridionalFrame, TrajectoryKinematics
 # kinematics_at and phi_eval stay module attributes: perfbench/tracer.py patches both here
 from .ring_model import (  # noqa: F401
     CoefficientTensor,
@@ -86,7 +88,8 @@ class AxisField:
 
     ``corr[i, j]`` is NaN on infeasible columns; ``feasible`` marks columns
     where the initial alignment (including its finite-difference rate
-    stencil) succeeded.  ``alpha1``, ``alpha2`` (the node solution, NaN on
+    stencil) succeeded, and is all False for a trial with a stationary
+    point on some row.  ``alpha1``, ``alpha2`` (the node solution, NaN on
     infeasible columns) and ``tangent`` (the unit ring tangent along the node
     ``frame``'s tau, n, b) give the unit axes ``zeta_hat`` and ``zeta_star_hat``.
     """
@@ -253,23 +256,18 @@ def _trial_grid(cfg: RingConfig) -> _RowGrid:
     return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
 
 
-def _only_trial(zero: np.ndarray, cfg: RingConfig) -> None:
-    """Raise ZeroSpeed if the one trial of a stack has a zero speed on a row."""
-    if zero[0]:
-        raise ZeroSpeed(f"|d1| <= {cfg.eps_v}; stationary trajectory point")
-
-
-def _aligned_start(tangent: tuple, cfg: RingConfig, rows):
+def _aligned_start(tangent: tuple, stationary: np.ndarray, cfg: RingConfig, rows):
     """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
 
     ``tangent`` holds the unit ring tangent's frame components, rows first;
     the outputs drop the row axis.  The rates
     are central differences of the alignment over h = fd_step; a column is
-    feasible where it aligns at all three times, and infeasible columns
-    carry NaN.
+    feasible where it aligns at all three times and its trial is not
+    ``stationary`` (the (B,) mask of ``_RowGrid.evaluate``), and
+    infeasible columns carry NaN.
     """
     a1, a2, aligned = _alignment(*(x[rows] for x in tangent), cfg.eps_align)
-    feasible = np.all(aligned, axis=0)
+    feasible = np.all(aligned, axis=0) & ~stationary[:, None]
     h = cfg.fd_step
     init = AlphaState(
         t=cfg.t0,
@@ -328,12 +326,11 @@ def _propagate(speed: tuple, rows, init: AlphaState, width, buffer) -> tuple:
 def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
     """(AlphaState at t0, feasibility mask): the aligned start :func:`axis_field` takes.
 
-    Infeasible columns (at t0 or at either rate-stencil point) carry NaN.
-    Raises ZeroSpeed where any row of the trial grid has a zero speed.
+    Infeasible columns (at t0 or at either rate-stencil point, or every
+    column where a row of the trial grid has a zero speed) carry NaN.
     """
-    _, _, tangent, zero = _trial_grid(cfg).evaluate(c.c[None], cfg)
-    _only_trial(zero, cfg)
-    init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
+    _, _, tangent, stationary = _trial_grid(cfg).evaluate(c.c[None], cfg)
+    init, feasible = _aligned_start(tangent, stationary, cfg, rows=[0, 2, 1])
     rates = (init.alpha1, init.alpha2, init.alpha1_t, init.alpha2_t)
     return AlphaState(init.t, *(x[0] for x in rates)), feasible[0]
 
@@ -378,9 +375,8 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     steps = [_rk4_abscissae(t0, t, 1) for t in targets]
     times = np.concatenate([_rate_stencil(cfg), *steps])
     grid = _RowGrid.build(times, np.arange(len(times)), cfg)
-    speed, _, tangent, zero = grid.evaluate(c.c[None], cfg)
-    _only_trial(zero, cfg)
-    init, feasible = _aligned_start(tangent, cfg, rows=slice(0, 3))
+    speed, _, tangent, stationary = grid.evaluate(c.c[None], cfg)
+    init, feasible = _aligned_start(tangent, stationary, cfg, rows=slice(0, 3))
     panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
     alpha1, alpha2 = _propagate(speed, panels, init, (targets - t0)[:, None, None], grid.buffer)
     ends = [x[panels[-1]] for x in tangent]
@@ -390,24 +386,24 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     return np.where(feasible, rate, np.nan)[0]
 
 
-def _axis_fields(c: np.ndarray, cfg: RingConfig) -> tuple:
-    """(stacked AxisField, zero-speed mask) of a (B, 2, 2, J+1, K+1) coefficient stack.
+def _axis_fields(c: np.ndarray, cfg: RingConfig) -> AxisField:
+    """The stacked AxisField of a (B, 2, 2, J+1, K+1) coefficient stack.
 
     The field's arrays carry the trial axis after the time axis
-    (:meth:`AxisField.trial` takes one out); the (B,) mask marks trials
-    with a zero speed on some row, whose fields are meaningless.  The
-    field's arrays are the trial grid's buffers for a stack of B.
+    (:meth:`AxisField.trial` takes one out); a trial with a zero speed on
+    some row is infeasible on every column.  The field's arrays are the
+    trial grid's buffers for a stack of B.
     """
     grid = _trial_grid(cfg)
-    speed, frame, tangent, zero = grid.evaluate(c, cfg)
-    init, feasible = _aligned_start(tangent, cfg, rows=[0, 2, 1])
+    speed, frame, tangent, stationary = grid.evaluate(c, cfg)
+    init, feasible = _aligned_start(tangent, stationary, cfg, rows=[0, 2, 1])
     width = (cfg.t1 - cfg.t0) / cfg.n_time
     alpha1, alpha2 = _propagate(speed, slice(2, None), init, width, grid.buffer)
     tangent = tuple(x[2:] for x in tangent)
     corr = _correlation(alpha1, alpha2, tangent, grid.buffer)
     # NaN on infeasible columns, whose alpha1 and alpha2 are NaN
     np.clip(corr, -1.0, 1.0, out=corr)
-    field = AxisField(
+    return AxisField(
         t_nodes=cfg.t_grid,
         s_grid=cfg.s_grid,
         corr=corr,
@@ -417,7 +413,6 @@ def _axis_fields(c: np.ndarray, cfg: RingConfig) -> tuple:
         alpha2=alpha2,
         tangent=tangent,
     )
-    return field, zero
 
 
 def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
@@ -429,8 +424,6 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     the time nodes get the frame and the unit ring tangent.  Per-column
     infeasibility (no initial alignment at t0 or at a rate stencil point) is
     recorded in ``feasible`` and produces NaN correlations, not an error; a
-    zero speed on any row raises ZeroSpeed.
+    zero speed on any row makes every column infeasible.
     """
-    field, zero = _axis_fields(c.c[None], cfg)
-    _only_trial(zero, cfg)
-    return field.trial(0).copy()
+    return _axis_fields(c.c[None], cfg).trial(0).copy()

@@ -179,7 +179,10 @@ def test_simulate_bad_config_exits_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
-@pytest.mark.parametrize("line", ["c_max = inf", "c_max = nan", "fd_step_factor = 0"])
+@pytest.mark.parametrize(
+    "line",
+    ["c_max = inf", "c_max = nan", "fd_step_factor = 0", "eps_v = -1", "eps_kappa = 0", "eps_align = -0.5"],
+)
 @pytest.mark.parametrize("command", ["simulate", "optimize"])
 def test_non_finite_or_zero_step_exits_2(tmp_path, desk_config_path, capsys, command, line):
     # invalid input, not a traceback in optimize or a NaN score from simulate

@@ -314,3 +314,11 @@ def test_ring_config_validation():
     for value in (0.0, -(2.0**-10)):
         with pytest.raises(ValueError, match="fd_step_factor must be > 0"):
             RingConfig(fd_step_factor=value)
+    # eps_v <= 0 disables the zero-speed gate, eps_kappa <= 0 the frame's fallback
+    for name in ("eps_v", "eps_kappa"):
+        for value in (0.0, -1.0):
+            with pytest.raises(ValueError, match=f"{name} must be > 0"):
+                RingConfig(**{name: value})
+    with pytest.raises(ValueError, match="eps_align must be >= 0"):
+        RingConfig(eps_align=-0.5)
+    assert RingConfig(eps_align=0.0).eps_align == 0.0

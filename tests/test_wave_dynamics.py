@@ -1,13 +1,21 @@
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from vortexlab.geometry import frame_from_derivatives
-from vortexlab.ring_model import CoefficientTensor, RingConfig, embed, kinematics_at, phi_eval
+from vortexlab.geometry import ZeroSpeed, frame_from_derivatives
+from vortexlab.ring_model import (
+    CoefficientTensor,
+    RingConfig,
+    embed,
+    kinematics_at,
+    phi_eval,
+    transport_gamma,
+)
 from vortexlab.wave_dynamics import (
     aligned_initial_state,
     axis_field,
@@ -107,6 +115,23 @@ def test_initial_rates_propagate_infeasibility():
     init, feasible = aligned_initial_state(c, cfg)
     assert not feasible[0]  # symmetry point of the ellipse
     assert np.isnan(init.alpha1_t[0]) and np.isnan(init.alpha2_t[0])
+
+
+@pytest.mark.parametrize("cfg", [RingConfig(J=4, K=6, n_s=64), RingConfig()], ids=["desk", "full"])
+def test_stationary_trial_is_infeasible_everywhere(cfg):
+    # a constant gamma1_t = -Gamma'(t0) stops every trajectory at t0
+    c = np.zeros((2, 2, cfg.J + 1, cfg.K + 1))
+    c[0, 1, 0, 0] = -(cfg.K + 1.0) * transport_gamma(cfg.t0)[1]
+    stop = CoefficientTensor(c)
+    with pytest.raises(ZeroSpeed):
+        kinematics_at(np.array([cfg.t0]), cfg.s_grid, stop, cfg)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        init, feasible = aligned_initial_state(stop, cfg)
+        rate = wave_dynamics.initial_corr_rate(stop, cfg)
+    assert feasible.shape == (cfg.n_s,) and not feasible.any()
+    for x in (init.alpha1, init.alpha2, init.alpha1_t, init.alpha2_t, rate):
+        assert x.shape == (cfg.n_s,) and np.isnan(x).all()
 
 
 def test_synthetic_oscillator_alpha2_tracks_speed():
