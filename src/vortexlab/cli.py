@@ -168,8 +168,18 @@ def _time_token(token: str, initial: float, terminal: float) -> float:
 
 
 def _sha256(path: Path) -> str:
+    """Hex SHA-256 of a file, read into one buffer of at most 1 MiB.
+
+    A full-scale trial log is ~190 MB, so it is never held whole.  The buffer
+    is no larger than the file: zero-filling 1 MiB takes longer than hashing
+    a small output.
+    """
     digest = hashlib.sha256()
-    digest.update(path.read_bytes())
+    with open(path, "rb", buffering=0) as fh:
+        buf = bytearray(min(os.fstat(fh.fileno()).st_size, 1 << 20))
+        view = memoryview(buf)
+        while size := fh.readinto(buf):
+            digest.update(view[:size])
     return digest.hexdigest()
 
 

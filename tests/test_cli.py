@@ -1,7 +1,9 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +325,21 @@ def test_optimize_writes_outputs_and_is_deterministic(tmp_path, desk_config_path
     assert summary["seed"] == 7
     captured = capsys.readouterr().out
     assert "best trial" in captured
+
+
+def test_manifest_digest_streams_the_file(tmp_path):
+    data = np.random.default_rng(5).bytes(8 << 20)
+    path = tmp_path / "trials.jsonl"
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        digest = cli._sha256(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert digest == hashlib.sha256(data).hexdigest()
+    # reading the whole file would hold its 8 MB at once
+    assert peak < 2_000_000
 
 
 def test_optimize_flag_defaults_are_full_scale(tmp_path):

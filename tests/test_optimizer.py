@@ -265,10 +265,15 @@ MALFORMED_LINES = {
     # 36 is tiny_ring's dim: a string has a length too
     "coeffs a string of length dim": (2, with_field_text("coeffs", b'"' + b"x" * 36 + b'"')),
     "coeffs too short": (2, with_field_text("coeffs", b"[0.0]")),
+    "coeffs one too long": (2, lambda rec: json.dumps({**rec, "coeffs": [*rec["coeffs"], 0.0]}).encode()),
+    "coeffs an object": (2, with_field_text("coeffs", b'{"a": 0.0}')),
+    "coeffs null": (2, with_field_text("coeffs", b"null")),
+    "coeffs true": (2, with_field_text("coeffs", b"true")),
     "coefficient a string": (2, with_coeff_text(b'"x"')),
     "coefficient a numeric string": (2, with_coeff_text(b'"1.5"')),
     "coefficient null": (2, with_coeff_text(b"null")),
     "coefficient a nested list": (2, with_coeff_text(b"[0.0]")),
+    "coefficient an object": (2, with_coeff_text(b"{}")),
 }
 
 
@@ -444,6 +449,36 @@ def test_parsed_history_keeps_coefficients_as_read_only_float64(tmp_path):
         assert rec.coeffs.dtype == np.float64 and rec.coeffs.shape == (space.dim,)
         with pytest.raises(ValueError):
             rec.coeffs[0] = 0.0
+        with pytest.raises(ValueError):
+            rec.coeffs.flags.writeable = True
+
+
+# JSON number and literal spellings a log line may carry, each read as float(json.loads(text))
+ACCEPTED_COEFF_TEXT = [
+    b"true",
+    b"false",
+    b"0",
+    b"-0.0",
+    b"5e-324",
+    b"1.7976931348623157e308",
+    b"18446744073709551615",
+]
+
+
+def test_parse_reads_every_accepted_coefficient_spelling_exactly(space, tmp_path):
+    n = len(ACCEPTED_COEFF_TEXT)
+    coeffs = ["@"] * n + [0.25] * (space.dim - n)
+    text = json.dumps(dict(zip(optimizer._LOG_FIELDS, (0, "qmc", 0.5, 1.0, 0.5, coeffs, 0.0)))).encode()
+    for spelling in ACCEPTED_COEFF_TEXT:
+        text = text.replace(b'"@"', spelling, 1)
+    log = tmp_path / "log.jsonl"
+    log.write_bytes(text + b"\n")
+    history, torn = optimizer._parse_log(log, space)
+    assert torn == 0 and len(history) == 1
+    expected = [float(json.loads(spelling)) for spelling in ACCEPTED_COEFF_TEXT]
+    got = history[0].coeffs[:n]
+    assert got.dtype == np.float64
+    assert got.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
 
 
 def test_study_config_validation():
