@@ -28,6 +28,7 @@ and across kill/resume.
 
 from __future__ import annotations
 
+import functools
 import json
 import operator
 import os
@@ -332,6 +333,8 @@ class FeasibilityCeiling:
     ``row`` has shape (2, K+1): the sine and cosine coefficients
     c[0, :, 0, :].  ``feasible`` is :func:`row_feasibility` of that row,
     i.e. the feasibility mask of the tensor that is zero apart from it.
+    Both arrays are read-only, as :func:`feasibility_ceiling` shares them
+    between its callers.
     """
 
     row: np.ndarray
@@ -358,6 +361,7 @@ def _contiguous_runs(indices: np.ndarray) -> list:
     return np.split(indices, breaks)
 
 
+@functools.lru_cache(maxsize=16)
 def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
     """The j=0 gamma1 row that opens the most columns the undeformed ring cannot align.
 
@@ -384,6 +388,10 @@ def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
     to open is combinatorial, and only windows of consecutive columns are
     tried.  At the desk shape (J=4, K=6, n_s=64) an exhaustive
     mixed-integer check over all column subsets finds no larger set.
+
+    The result is a pure function of the ring config and is cached per
+    config, as the trial grid is, so its LPs are solved once per config in a
+    process however many structured proposals or resumes follow.
     """
     # f = basis @ x and f_s = basis_s @ x for the row x flattened as (sine, cosine) x k
     basis, basis_s = (b.T / (ring.K + 1.0) for b in _fourier_basis(ring.s_grid, ring.K))
@@ -437,51 +445,38 @@ def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
                     lo += 1
             if found is not None and (hi - lo + 1, found[0]) > best_key:
                 best_key, best_row = (hi - lo + 1, found[0]), found[1]
-    return FeasibilityCeiling(row=best_row, feasible=row_feasibility(best_row, ring))
+    feasible = row_feasibility(best_row, ring)
+    best_row.flags.writeable = feasible.flags.writeable = False
+    return FeasibilityCeiling(row=best_row, feasible=feasible)
 
 
-def propose_refinements(
-    history: list,
-    n: int,
-    seed,
-    strategy: str = "perturb_best",
-    *,
-    space: SearchSpace,
-    ceiling: FeasibilityCeiling | None = None,
-) -> list:
-    """n in-bounds refinement candidates from the committed history.
+def propose_refinements(history: list, study: StudyConfig, ring: RingConfig) -> CoefficientTensor:
+    """The study's next refine trial, proposed from the committed history.
 
-    Both strategies take 1/5-rule Gaussian steps from a center, clipped to
-    the box; they differ only in the center and in a pinned row.
-    ``perturb_best`` steps from the best feasible trial and pins nothing; it
-    raises NoFeasibleHistory when no committed trial is feasible.
-    ``structured`` pins the j=0 gamma1 row to the study's
-    :func:`feasibility_ceiling` (a pure function of the ring config, so
-    callers solve it once) and steps from the best refine trial; before
-    any, its first proposal is the unperturbed start, the ceiling row on an
-    otherwise zero tensor.
+    Both strategies take a 1/5-rule Gaussian step from a center, seeded by
+    (``study.seed``, ``len(history)``) and clipped to the ring's search box;
+    they differ only in the center and in a pinned row.  ``perturb_best``
+    steps from the best feasible trial and pins nothing; it raises
+    NoFeasibleHistory when no committed trial is feasible.  ``structured``
+    pins the j=0 gamma1 row to :func:`feasibility_ceiling` and steps from
+    the best refine trial; before any, its trial is the unperturbed start,
+    the ceiling row on an otherwise zero tensor.
     """
-    if n == 0:
-        return []
-    if strategy not in ("perturb_best", "structured"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "structured" and ceiling is None:
-        raise ValueError("the structured strategy requires the feasibility ceiling")
+    space = SearchSpace.from_ring_config(ring)
     sigma, best_feasible, best_refine = _refine_state(history, space.c_max)
-    if strategy == "perturb_best":
+    row = None
+    if study.strategy == "perturb_best":
         if best_feasible is None:
             raise NoFeasibleHistory("perturb_best needs at least one feasible trial")
-        row, center, proposals = None, best_feasible.coeffs, []
+        center = best_feasible.coeffs
     else:
-        row = ceiling.row
-        start = _with_row(np.zeros(space.dim), row, space)
-        center, proposals = (start, [start]) if best_refine is None else (best_refine.coeffs, [])
-    center = np.asarray(center, dtype=float)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    while len(proposals) < n:
-        flat = space.clip(center + sigma * rng.standard_normal(space.dim))
-        proposals.append(flat if row is None else _with_row(flat, row, space))
-    return [space.unflatten(flat) for flat in proposals]
+        row = feasibility_ceiling(ring).row
+        if best_refine is None:
+            return space.unflatten(_with_row(np.zeros(space.dim), row, space))
+        center = best_refine.coeffs
+    rng = np.random.default_rng(np.random.SeedSequence((study.seed, len(history))))
+    flat = space.clip(np.asarray(center, dtype=float) + sigma * rng.standard_normal(space.dim))
+    return space.unflatten(flat if row is None else _with_row(flat, row, space))
 
 
 def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
@@ -617,7 +612,6 @@ def run_study(
     # built before the log is opened, so a dimension the generator refuses leaves no empty log
     qmc_left = len(history) < min(n_total, study.n_qmc)
     sobol = _sobol_sampler(space, study.seed, skip=len(history)) if qmc_left else None
-    ceiling = None
 
     with open(log_path, "a") as log:
         # QMC stacks of QMC_STACK trials, then one refine trial at a time,
@@ -630,17 +624,8 @@ def run_study(
                 tensors = _draw_qmc(sobol, space, stop - start_id)
                 results = evaluate_stack(tensors, ring)
             else:
-                if study.strategy == "structured" and ceiling is None:
-                    ceiling = feasibility_ceiling(ring)
                 phase = "refine"
-                tensors = propose_refinements(
-                    history,
-                    1,
-                    seed=(study.seed, start_id),
-                    strategy=study.strategy,
-                    space=space,
-                    ceiling=ceiling,
-                )
+                tensors = [propose_refinements(history, study, ring)]
                 results = [evaluate_tensor(tensors[0], ring)]
             for trial_id, (tensor, (score, value, fraction)) in enumerate(
                 zip(tensors, results), start=start_id

@@ -5,7 +5,8 @@
 * ``propose_refinements`` output under both strategies, at desk (J=4, K=6,
   n_s=64) and tiny (J=2, K=2, n_s=16) shape, for seeded synthetic histories
   (a QMC-only one and one with refine trials, ties and infeasible records)
-  and fixed proposal seeds;
+  and three study seeds; a key names the (study seed, trial id) pair that
+  seeds the proposal;
 * ``feasibility_ceiling`` of the desk, full-scale and tiny rings, the desk
   ring with a coarse rate stencil (``fd_step_factor = 2**-3``) and with a
   vanishing one (``fd_step_factor = 1e-30``): its row and its column mask.
@@ -25,6 +26,7 @@ import pytest
 
 from vortexlab.optimizer import (
     SearchSpace,
+    StudyConfig,
     TrialRecord,
     feasibility_ceiling,
     propose_refinements,
@@ -42,7 +44,7 @@ CEILING_RINGS = {
 }
 # (name, history length, index of the first refine trial)
 HISTORIES = (("qmc-only", 12, 12), ("mixed", 40, 25))
-SEEDS = ((0, 12), (3, 25), 7)
+STUDY_SEEDS = (0, 3, 7)
 FIXTURE = Path(__file__).parent / "golden_proposals.json"
 
 
@@ -79,17 +81,12 @@ def proposal_digests() -> dict:
     out = {}
     for shape, ring in SHAPES.items():
         space = SearchSpace.from_ring_config(ring)
-        ceiling = feasibility_ceiling(ring)
         for name, n, refine_from in HISTORIES:
             history = synthetic_history(space, n, refine_from)
             for strategy in ("perturb_best", "structured"):
-                for seed in SEEDS:
-                    for count in (1, 4):
-                        got = propose_refinements(
-                            history, count, seed, strategy, space=space, ceiling=ceiling
-                        )
-                        key = f"{shape}/{strategy}/{name}/seed={seed}/n={count}"
-                        out[key] = _digest(*(t.c for t in got))
+                for seed in STUDY_SEEDS:
+                    got = propose_refinements(history, StudyConfig(seed=seed, strategy=strategy), ring)
+                    out[f"{shape}/{strategy}/{name}/seed=({seed}, {n})"] = _digest(got.c)
     return out
 
 

@@ -103,32 +103,52 @@ def test_search_space_roundtrip(space):
     np.testing.assert_array_equal(tensor.flatten(), flat)
 
 
-def test_propose_refinements_basic(space):
+def padded(history, n, dim):
+    """``history`` followed by infeasible QMC records up to length n.
+
+    They move neither the center nor sigma, only the trial id that seeds the
+    next proposal.
+    """
+    return history + [
+        make_record(i, 0.0, np.zeros(dim), feasible_fraction=0.0) for i in range(len(history), n)
+    ]
+
+
+def test_propose_refinements_basic(space, tiny_ring):
     history = [make_record(0, 0.4, np.zeros(space.dim))]
-    proposals = propose_refinements(history, 3, seed=1, space=space)
-    assert len(proposals) == 3
-    flats = [p.flatten() for p in proposals]
+    study = StudyConfig(seed=1)
+    flats = [
+        propose_refinements(padded(history, n, space.dim), study, tiny_ring).flatten()
+        for n in (1, 2, 3)
+    ]
     for f in flats:
         assert np.all(np.abs(f) <= 30.0)
+    # the draw is seeded by (study seed, trial id)
     assert not np.array_equal(flats[0], flats[1])
     assert not np.array_equal(flats[1], flats[2])
-    assert propose_refinements(history, 0, seed=1, space=space) == []
+    again = propose_refinements(padded(history, 2, space.dim), study, tiny_ring)
+    np.testing.assert_array_equal(again.flatten(), flats[1])
+    other = propose_refinements(padded(history, 2, space.dim), StudyConfig(seed=2), tiny_ring)
+    assert not np.array_equal(other.flatten(), flats[1])
 
 
-def test_propose_refinements_clipping(space):
+def test_propose_refinements_clipping(space, tiny_ring):
     center = np.full(space.dim, 29.9)
     history = [make_record(0, 0.4, center)]
-    proposals = propose_refinements(history, 8, seed=2, space=space)
+    proposals = [
+        propose_refinements(padded(history, n, space.dim), StudyConfig(seed=2), tiny_ring)
+        for n in range(1, 9)
+    ]
     for p in proposals:
         assert np.all(p.flatten() <= 30.0)
         assert np.all(p.flatten() >= -30.0)
     assert any(np.any(p.flatten() == 30.0) for p in proposals)
 
 
-def test_propose_refinements_needs_feasible_history(space):
+def test_propose_refinements_needs_feasible_history(space, tiny_ring):
     history = [make_record(0, 0.0, np.zeros(space.dim), feasible_fraction=0.0)]
     with pytest.raises(NoFeasibleHistory):
-        propose_refinements(history, 1, seed=0, space=space)
+        propose_refinements(history, StudyConfig(), tiny_ring)
 
 
 def test_run_study_single_trial(tiny_ring, tmp_path):
@@ -703,23 +723,30 @@ def test_sigma_adaptation_one_fifth_rule(space):
     assert sigma(neutral) == pytest.approx(sigma0)
 
 
-def test_refine_center_ties_go_to_first_maximum(space):
+def test_refine_center_ties_go_to_first_maximum(space, tiny_ring):
     history = [
         make_record(0, 0.2, np.full(space.dim, 1.0)),
         make_record(1, 0.7, np.full(space.dim, 2.0)),
         make_record(2, 0.7, np.full(space.dim, 3.0)),
         make_record(3, 0.9, np.full(space.dim, 4.0), feasible_fraction=0.0),
         make_record(4, 0.7, np.full(space.dim, 5.0), phase="refine"),
+        make_record(5, 0.7, np.full(space.dim, 6.0), phase="refine"),
     ]
     assert optimizer._refine_state(history[:3], space.c_max)[1].trial_id == 1
     sigma, best_feasible, best_refine = optimizer._refine_state(history, space.c_max)
     assert (best_feasible.trial_id, best_refine.trial_id) == (1, 4)
-    # the infeasible 0.9 is skipped; of the three 0.7s the first is the center
-    got = propose_refinements(history, 2, seed=(0, 5), space=space)
-    rng = np.random.default_rng(np.random.SeedSequence((0, 5)))
-    for tensor in got:
-        want = space.clip(2.0 + sigma * rng.standard_normal(space.dim))
-        np.testing.assert_array_equal(tensor.flatten(), want)
+    # perturb_best: the infeasible 0.9 is skipped; of the four 0.7s the first is the center
+    got = propose_refinements(history, StudyConfig(seed=3), tiny_ring)
+    rng = np.random.default_rng(np.random.SeedSequence((3, 6)))
+    want = space.clip(2.0 + sigma * rng.standard_normal(space.dim))
+    np.testing.assert_array_equal(got.flatten(), want)
+    # structured: of the two 0.7 refine trials the first is the center
+    got = propose_refinements(history, StudyConfig(seed=3, strategy="structured"), tiny_ring)
+    rng = np.random.default_rng(np.random.SeedSequence((3, 6)))
+    want = space.clip(5.0 + sigma * rng.standard_normal(space.dim))
+    want = want.reshape(got.c.shape)
+    want[0, :, 0, :] = feasibility_ceiling(tiny_ring).row
+    np.testing.assert_array_equal(got.c, want)
 
 
 def test_adapted_sigma_matches_reference_loop_with_interleaved_phases(space):
@@ -847,51 +874,44 @@ def test_structured_strategy_is_accepted(tmp_path):
 
 def test_propose_structured_pins_ceiling_row(space, tiny_ring):
     ceiling = feasibility_ceiling(tiny_ring)
+    study = StudyConfig(seed=4, strategy="structured")
     rng = np.random.default_rng(17)
     history = [
         make_record(i, float(rng.random()), rng.uniform(-30, 30, space.dim))
         for i in range(6)
     ]
-    with pytest.raises(ValueError):
-        propose_refinements(history, 1, seed=0, strategy="structured", space=space)
-
-    first = propose_refinements(
-        history, 3, seed=4, strategy="structured", space=space, ceiling=ceiling
-    )
+    first = propose_refinements(history, study, tiny_ring)
     # the first refine trial is the ceiling row on an otherwise zero tensor
-    np.testing.assert_array_equal(first[0].c, row_tensor(ceiling.row, tiny_ring).c)
+    np.testing.assert_array_equal(first.c, row_tensor(ceiling.row, tiny_ring).c)
     # unlike perturb_best, it needs no feasible trial to start from
     infeasible = [make_record(0, 0.0, np.zeros(space.dim), feasible_fraction=0.0)]
-    (alone,) = propose_refinements(
-        infeasible, 1, seed=4, strategy="structured", space=space, ceiling=ceiling
-    )
-    np.testing.assert_array_equal(alone.c, first[0].c)
-    refined = history + [make_record(6, 0.9, first[1].flatten(), phase="refine")]
-    later = propose_refinements(
-        refined, 4, seed=5, strategy="structured", space=space, ceiling=ceiling
-    )
-    for p in first + later:
+    alone = propose_refinements(infeasible, study, tiny_ring)
+    np.testing.assert_array_equal(alone.c, first.c)
+    refined = history + [make_record(6, 0.9, rng.uniform(-30, 30, space.dim), phase="refine")]
+    later = [
+        propose_refinements(padded(refined, n, space.dim), study, tiny_ring) for n in (7, 8, 9)
+    ]
+    for p in [first] + later:
         assert np.all(np.abs(p.c) <= space.c_max)
         np.testing.assert_array_equal(p.c[0, :, 0, :], ceiling.row)
     assert not np.array_equal(later[0].c, later[1].c)
-    again = propose_refinements(
-        refined, 4, seed=5, strategy="structured", space=space, ceiling=ceiling
-    )
-    for p, q in zip(later, again):
-        assert np.array_equal(p.c, q.c)
+    again = propose_refinements(padded(refined, 8, space.dim), study, tiny_ring)
+    assert np.array_equal(again.c, later[1].c)
 
 
-def test_run_study_structured_deterministic_and_resumable(monkeypatch, tiny_ring, tmp_path):
-    solves = []
+def test_feasibility_ceiling_is_cached_read_only(tiny_ring):
+    ceiling = feasibility_ceiling(tiny_ring)
+    assert feasibility_ceiling(dataclasses.replace(tiny_ring)) is ceiling
+    with pytest.raises(ValueError, match="read-only"):
+        ceiling.row[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        ceiling.feasible[0] = not ceiling.feasible[0]
 
-    def counting_ceiling(ring):
-        solves.append(ring)
-        return feasibility_ceiling(ring)
 
-    monkeypatch.setattr(optimizer, "feasibility_ceiling", counting_ceiling)
+def test_run_study_structured_deterministic_and_resumable(tiny_ring, tmp_path):
+    feasibility_ceiling.cache_clear()
     study = StudyConfig(n_qmc=6, n_refine=3, seed=42, strategy="structured")
     full = run_study(study, tiny_ring, tmp_path / "a.jsonl")
-    assert len(solves) == 1  # one LP per study, not per refine trial
     run_study(study, tiny_ring, tmp_path / "b.jsonl")
     assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
@@ -899,7 +919,9 @@ def test_run_study_structured_deterministic_and_resumable(monkeypatch, tiny_ring
     assert sum(1 for _ in open(tmp_path / "part.jsonl")) == 2
     run_study(study, tiny_ring, tmp_path / "part.jsonl")
     assert (tmp_path / "part.jsonl").read_bytes() == (tmp_path / "a.jsonl").read_bytes()
-    assert len(solves) == 3
+    # one LP solve per ring config in the process, not per study, resume or refine trial
+    info = feasibility_ceiling.cache_info()
+    assert (info.misses, info.hits) == (1, 8)
 
     ceiling = feasibility_ceiling(tiny_ring)
     refine = [rec for rec in full.history if rec.phase == "refine"]

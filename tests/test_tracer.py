@@ -7,12 +7,19 @@ import vortexlab.ring_model as ring_model
 import vortexlab.wave_dynamics as wave_dynamics
 
 
-def load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_perfbench(name):
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def load_tracer():
+    return load_perfbench("tracer")
 
 
 def test_tracer_wraps_every_layer_and_restores_it():
@@ -49,3 +56,20 @@ def test_tracer_sees_every_log_line(tmp_path):
     spans = [span for span in run.spans if span[tracer.NAME] == "optimizer.to_json_line"]
     assert len(spans) == len(log.read_bytes().splitlines()) == 11
     assert run.counters["log_bytes"] == log.stat().st_size
+    # each refine trial is one traced evaluation with its own trial id, which the
+    # benchmark's per-trial layer metrics divide by (they raise when there is none)
+    evaluations = [span for span in run.spans if span[tracer.NAME] == "optimizer.evaluate_tensor"]
+    assert [span[tracer.TRIAL] for span in evaluations] == [0, 1]
+
+
+def test_bench_inputs_build_both_workload_shapes():
+    # the benchmark builds its studies through the config loader and
+    # dataclasses.replace, with parallel_width among the overrides
+    inputs = load_perfbench("inputs")
+    seed = inputs.slot_of(37)
+    ring, study = inputs.study_configs(ROOT, inputs.DESK, seed)
+    assert (ring.J, ring.K, ring.n_s) == (4, 6, 64)
+    assert (study.n_qmc, study.n_refine, study.seed, study.strategy) == (8, 2, seed, "perturb_best")
+    ring, study = inputs.study_configs(ROOT, inputs.RESUME, None)
+    assert (ring.J, ring.K, ring.n_s) == (20, 10, 128)
+    assert (study.n_qmc, study.n_refine, study.seed, study.strategy) == (10000, 10, 0, "perturb_best")
