@@ -17,6 +17,12 @@ Which columns a tensor can use is read from the trial path itself
 (:func:`vortexlab.wave_dynamics.aligned_initial_state`), never re-derived
 here; the ceiling's LP takes its rate-stencil times from the same helper.
 
+The Sobol points are ``qmc.Sobol(d, scramble=True, seed=seed)``'s bit for
+bit, computed in numpy from scipy's direction-number data file, which is
+read without importing scipy.  The module imports no scipy: only the
+ceiling's LP imports ``linprog``, on its first solve, so every command but
+a ``structured`` study starts without scipy.
+
 QMC trials are evaluated in stacks of ``QMC_STACK`` through one stacked
 kernel (:func:`evaluate_stack`), refine trials one at a time
 (:func:`evaluate_tensor`); both give the same score for a tensor, bit for
@@ -29,18 +35,16 @@ and across kill/resume.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import json
 import operator
 import os
 import struct
-import warnings
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
-from scipy.optimize import linprog
-from scipy.stats import qmc
 
 from .madc import madc
 from .ring_model import (
@@ -71,8 +75,13 @@ __all__ = [
     "run_study",
 ]
 
-# scipy's Sobol implementation tops out at this dimension
+# scipy's Sobol stream: 30-bit points, direction numbers for at most 21201 dimensions
+_SOBOL_BITS = 30
 _SOBOL_MAX_DIM = 21201
+_SOBOL_MAX_POINTS = 2**_SOBOL_BITS
+_SOBOL_POW2 = 2 ** np.arange(_SOBOL_BITS, dtype=np.uint32)
+# row p's weight 2**(29 - p) on the strictly-lower triangle p > k of an LMS matrix
+_LMS_WEIGHTS = np.tril(np.broadcast_to(_SOBOL_POW2[::-1, None], (_SOBOL_BITS, _SOBOL_BITS)), -1)
 
 # QMC trials evaluated per kernel call.  Per-trial cost at stack sizes
 # 1/2/4/8/16/32/64 on a 2-vCPU Xeon, each size in a fresh process (medians of
@@ -156,6 +165,8 @@ class StudyConfig:
     def __post_init__(self, parallel_width: int):
         if self.n_qmc < 0 or self.n_refine < 0 or self.n_qmc + self.n_refine < 1:
             raise ValueError("need n_qmc >= 0, n_refine >= 0 and at least one trial")
+        if self.n_qmc > _SOBOL_MAX_POINTS:
+            raise ValueError(f"n_qmc = {self.n_qmc} exceeds the Sobol stream's 2**30 points")
         if self.strategy not in ("perturb_best", "structured"):
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "perturb_best" and self.n_qmc == 0 and self.n_refine > 0:
@@ -246,41 +257,92 @@ class StudyResult:
         }
 
 
-def _sobol_sampler(space: SearchSpace, seed: int, skip: int):
-    """The study's scrambled Sobol generator, fast-forwarded past ``skip`` points.
+@functools.lru_cache(maxsize=16)
+def _direction_numbers(dim: int) -> np.ndarray:
+    """The unscrambled direction numbers, bit for bit scipy's: read-only uint32 (dim, 30).
 
-    Bit for bit ``qmc.Sobol(d, scramble=True, seed=seed)``: scipy's LMS+shift
-    scramble (Matousek 1998) from the same ``default_rng(seed)`` draws, in one
-    vectorized pass.  Scrambled bit q of a direction number v is the parity of
-    (row q of rot180(ltm)) & v: the XOR of the columns that v's bits select.
+    The Joe-Kuo table (poly, vinit) is scipy's data file, found and read
+    without importing scipy.  Row d runs the recurrence of its primitive
+    polynomial poly[d] of degree m from the m initial values vinit[d],
+
+        v_j = v_{j-m} ^ XOR_{l=1..m} a_l (v_{j-l} << l),   a_l = bit m-l of poly[d],
+
+    for all rows at once; row 0 is all ones.  Column j is then shifted to
+    bit 29 - j, so direction number j has no bit below 29 - j.
+    """
+    root = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    with np.load(os.path.join(root, "stats", "_sobol_direction_numbers.npz")) as table:
+        poly, vinit = table["poly"][:dim], table["vinit"][:dim]
+    degree = np.frexp(poly)[1] - 1
+    width = vinit.shape[1]
+    lag = np.arange(1, width + 1)
+    # a_l << l, zero for l > m
+    bit = (poly[:, None] >> np.maximum(degree[:, None] - lag, 0)) & 1
+    taps = (lag <= degree[:, None]) * bit << lag
+    v = np.zeros((dim, _SOBOL_BITS), dtype=np.int64)
+    v[:, :width] = vinit
+    rows = np.arange(dim)
+    for j in range(1, _SOBOL_BITS):
+        w = min(j, width)
+        back = np.bitwise_xor.reduce(taps[:, :w] * v[:, j - 1 :: -1][:, :w], axis=1)
+        v[:, j] = np.where(j >= degree, v[rows, np.maximum(j - degree, 0)] ^ back, v[:, j])
+    v[0] = 1
+    v = (v << np.arange(_SOBOL_BITS - 1, -1, -1)).astype(np.uint32)
+    v.flags.writeable = False
+    return v
+
+
+def _sobol_stream(space: SearchSpace, seed: int, n_points: int) -> tuple:
+    """(shift, directions): the study's scrambled Sobol stream up to ``n_points`` points.
+
+    Bit for bit the points of ``qmc.Sobol(d, scramble=True, seed=seed)``:
+    scipy's LMS+shift scramble (Matousek 1998) from the same
+    ``default_rng(seed)`` draws in the same order, the shift and then the
+    (d, 30, 30) matrices.  Scrambling XORs the matrix columns that a
+    direction number's bits select; column 29 - k is 2**(29 - k) (the unit
+    diagonal) plus the strictly-lower entries of matrix column k, each
+    weighted 2**(29 - p) by its row p.  Points below ``n_points`` reach only
+    the first bit_length(n_points - 1) direction numbers, and those have no
+    bit below 30 - bit_length, so only they and their columns are built.
+    ``directions`` is uint32 (bit_length, d), one row per direction number.
     """
     if space.dim > _SOBOL_MAX_DIM:
         raise DimensionTooLarge(
             f"dim = {space.dim} exceeds the Sobol limit {_SOBOL_MAX_DIM}; reduce J/K"
         )
-    sampler = qmc.Sobol(d=space.dim, scramble=False, seed=seed)
-    rng, bits, uint = np.random.default_rng(seed), sampler.bits, sampler._sv.dtype
-    powers = np.arange(bits, dtype=uint)
-    shift = rng.integers(2, size=(space.dim, bits), dtype=uint) @ (2**powers)
-    ltm = np.tril(rng.integers(2, size=(space.dim, bits, bits), dtype=uint))
-    ltm[:, powers, powers] = 1
-    columns = (ltm[:, ::-1, ::-1] << powers[:, None]).sum(axis=1, dtype=uint)
-    v_bits = (sampler._sv[:, :, None] >> powers) & 1
-    sampler._sv = np.bitwise_xor.reduce(v_bits * columns[:, None, :], axis=-1)
-    sampler._shift, sampler._quasi = shift, shift.copy()
-    sampler._first_point = (shift * sampler._scale).reshape(1, -1).astype(np.float64)
-    if skip:
-        sampler.fast_forward(skip)
-    return sampler
+    if n_points > _SOBOL_MAX_POINTS:
+        raise ValueError(f"{n_points} Sobol points exceed the stream's 2**30")
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(space.dim, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_POW2
+    lms = rng.integers(2, size=(space.dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    n_dir = max(n_points - 1, 0).bit_length()
+    # columns 29, 28, ..., 30 - n_dir of each matrix, and the bits of v that select them
+    top = _SOBOL_POW2[::-1][:n_dir]
+    columns = np.einsum("dpk,pk->dk", lms[:, :, :n_dir], _LMS_WEIGHTS[:, :n_dir]) + top
+    selected = (_direction_numbers(space.dim)[:, :n_dir, None] & top) != 0
+    directions = np.bitwise_xor.reduce(selected * columns[:, None, :], axis=2)
+    return shift, np.ascontiguousarray(directions.T)
 
 
-def _draw_qmc(sampler, space: SearchSpace, n: int) -> list:
-    """The sampler's next n points as coefficient tensors scaled to the search box."""
-    with warnings.catch_warnings():
-        # resumable prefix draws are deliberately not powers of two
-        warnings.filterwarnings("ignore", message=".*balance properties of Sobol.*")
-        unit = sampler.random(n)
-    flats = (2.0 * unit - 1.0) * space.c_max
+def _draw_qmc(stream: tuple, space: SearchSpace, start: int, n: int) -> list:
+    """Points start .. start + n - 1 of the stream as coefficient tensors scaled to the search box.
+
+    Point i is shift ^ (the directions that the bits of gray(i) = i ^ (i >> 1)
+    select) times 2**-30.  Each direction is XORed in place where its bit is
+    set, so the uint32 (n, d) array is the only temporary as large as the
+    float64 points.
+    """
+    shift, directions = stream
+    index = np.arange(start, start + n)
+    gray = index ^ (index >> 1)
+    bits = np.repeat(shift[None, :], n, axis=0)
+    for j, direction in enumerate(directions):
+        np.bitwise_xor(bits, direction, out=bits, where=((gray >> j) & 1).astype(bool)[:, None])
+    # (2 * unit - 1) * c_max in place, unit = bits * 2**-30; the doubling is exact
+    flats = np.multiply(bits, 2.0 ** (1 - _SOBOL_BITS))
+    del bits
+    flats -= 1.0
+    flats *= space.c_max
     return [space.unflatten(flat) for flat in flats]
 
 
@@ -288,11 +350,13 @@ def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
     """n scrambled-Sobol coefficient tensors scaled to the search box.
 
     The stream is deterministic in (seed, space) and point i never depends
-    on n; ``skip`` fast-forwards the stream for resumption.  Drawing
-    consecutive batches from one sampler (as :func:`run_study` does) gives
-    the same points as calls with increasing ``skip``.
+    on n; ``skip`` starts the draw at point ``skip`` for resumption, so
+    consecutive draws from one stream (as :func:`run_study` makes) give the
+    same points as calls with increasing ``skip``.  A dimension above
+    21201 raises DimensionTooLarge, and ``skip + n`` beyond the stream's
+    2**30 points ValueError, before any point is drawn.
     """
-    return _draw_qmc(_sobol_sampler(space, seed, skip), space, n)
+    return _draw_qmc(_sobol_stream(space, seed, skip + n), space, skip, n)
 
 
 def _refine_state(history: list, c_max: float) -> tuple:
@@ -391,8 +455,11 @@ def feasibility_ceiling(ring: RingConfig) -> FeasibilityCeiling:
 
     The result is a pure function of the ring config and is cached per
     config, as the trial grid is, so its LPs are solved once per config in a
-    process however many structured proposals or resumes follow.
+    process however many structured proposals or resumes follow.  scipy's
+    ``linprog`` is imported here, on the first solve, so nothing else loads scipy.
     """
+    from scipy.optimize import linprog
+
     # f = basis @ x and f_s = basis_s @ x for the row x flattened as (sine, cosine) x k
     basis, basis_s = (b.T / (ring.K + 1.0) for b in _fourier_basis(ring.s_grid, ring.K))
     s = ring.s_grid
@@ -609,9 +676,9 @@ def run_study(
     if torn:
         os.truncate(log_path, log_path.stat().st_size - torn)
 
-    # built before the log is opened, so a dimension the generator refuses leaves no empty log
-    qmc_left = len(history) < min(n_total, study.n_qmc)
-    sobol = _sobol_sampler(space, study.seed, skip=len(history)) if qmc_left else None
+    # built before the log is opened, so a dimension the stream refuses leaves no empty log
+    n_points = min(n_total, study.n_qmc)
+    sobol = _sobol_stream(space, study.seed, n_points) if len(history) < n_points else None
 
     with open(log_path, "a") as log:
         # QMC stacks of QMC_STACK trials, then one refine trial at a time,
@@ -621,7 +688,7 @@ def run_study(
             if start_id < study.n_qmc:
                 phase = "qmc"
                 stop = min(start_id + QMC_STACK, study.n_qmc, n_total)
-                tensors = _draw_qmc(sobol, space, stop - start_id)
+                tensors = _draw_qmc(sobol, space, start_id, stop - start_id)
                 results = evaluate_stack(tensors, ring)
             else:
                 phase = "refine"

@@ -3,6 +3,8 @@ import dataclasses
 import hashlib
 import json
 import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -377,6 +379,16 @@ def test_optimize_corrupt_log_exits_4(tmp_path, desk_config_path, capsys):
         assert "line 2" in capsys.readouterr().err
 
 
+def test_optimize_qmc_budget_beyond_the_sobol_stream_exits_2(tmp_path, desk_config_path, capsys):
+    # refused up front, not by a traceback at trial 2**30
+    study = tmp_path / "study.jsonl"
+    args = ["optimize", "--config", str(desk_config_path), "--study", str(study)]
+    code = main(args + ["--trials-qmc", str(2**30 + 1), "--trials-refine", "0"])
+    assert code == 2
+    assert "n_qmc" in capsys.readouterr().err
+    assert not study.exists()
+
+
 def test_optimize_without_qmc_phase_exits_2(tmp_path, desk_config_path, capsys):
     study = tmp_path / "study.jsonl"
     args = ["optimize", "--config", str(desk_config_path), "--study", str(study)]
@@ -606,3 +618,41 @@ def test_grid_csv_bytes_match_per_value_repr(tmp_path):
             values.append(field.corr[i, j])
             lines.append(",".join([repr(float(x)) for x in values] + [str(int(field.feasible[j]))]))
     assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+SCIPY_PROBE = """
+import json, sys
+import vortexlab.cli as cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+desk, structured, out = sys.argv[1:]
+loaded = {"import": scipy_modules()}
+for argv in (["simulate", "--config", desk, "--out", out + "/sim"], ["verify"]):
+    assert cli.main(argv) == 0, argv
+loaded["simulate, verify"] = scipy_modules()
+study = ["--trials-qmc", "8", "--trials-refine", "2"]
+assert cli.main(["optimize", "--config", desk, "--study", out + "/desk.jsonl"] + study) == 0
+loaded["perturb_best"] = scipy_modules()
+study = ["--trials-qmc", "0", "--trials-refine", "2"]
+assert cli.main(["optimize", "--config", structured, "--study", out + "/st.jsonl"] + study) == 0
+loaded["structured"] = scipy_modules()
+print(json.dumps(loaded))
+"""
+
+
+def test_only_the_structured_ceiling_loads_scipy(tmp_path):
+    # scipy's import is most of a command's start; the Sobol stream reads its
+    # direction table from scipy's data file, and only the structured
+    # strategy's ceiling LP imports scipy.optimize
+    desk = pathlib.Path(__file__).resolve().parents[1] / "configs" / "desk.cfg"
+    structured = tmp_path / "structured.cfg"
+    structured.write_text("J = 2\nK = 2\nn_s = 16\nn_time = 8\nstrategy = structured\n")
+    argv = [sys.executable, "-c", SCIPY_PROBE, str(desk), str(structured), str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert loaded["import"] == loaded["simulate, verify"] == loaded["perturb_best"] == []
+    assert "scipy.optimize" in loaded["structured"]
+    assert not any(name.startswith("scipy.stats") for name in loaded["structured"])

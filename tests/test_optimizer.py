@@ -96,6 +96,19 @@ def test_sample_qmc_dimension_limit():
         sample_qmc(big, 1, seed=0)
 
 
+def test_qmc_beyond_the_sobol_stream_is_refused(space):
+    # the stream holds 2**30 points; past them a Gray code would select a
+    # direction number that does not exist
+    last = sample_qmc(space, 1, seed=0, skip=2**30 - 1)
+    assert len(last) == 1 and np.all(np.abs(last[0].c) <= space.c_max)
+    for n, skip in [(1, 2**30), (2, 2**30 - 1), (2**30 + 1, 0)]:
+        with pytest.raises(ValueError, match="2\\*\\*30"):
+            sample_qmc(space, n, seed=0, skip=skip)
+    StudyConfig(n_qmc=2**30, n_refine=0)
+    with pytest.raises(ValueError, match="n_qmc"):
+        StudyConfig(n_qmc=2**30 + 1, n_refine=0)
+
+
 def test_search_space_roundtrip(space):
     rng = np.random.default_rng(15)
     flat = rng.uniform(-30, 30, space.dim)
@@ -633,16 +646,22 @@ def test_sign_corner_tensors_score_finite(ring, n):
         assert 0.0 <= fraction <= 1.0
 
 
-@pytest.mark.parametrize("d", [1, 7, 140, 924])
+@pytest.mark.parametrize("d", [1, 2, 7, 140, 924, 21201])
 def test_sobol_sampler_matches_scipy_scramble_bit_for_bit(d):
-    # the vectorized LMS+shift scramble sets scipy's private engine fields;
-    # a scipy that renames them or changes its draws fails here
+    # the numpy stream against scipy's own: a scipy that changes its direction
+    # table or its scramble draws fails here.  Skips 7/8 and 1023/1024 sit where
+    # the stream needs one more direction number, and each split draw crosses a
+    # power of two; the largest dimension runs at one seed and skip (~1.5 s)
+    from scipy.stats import qmc
+
     space = types.SimpleNamespace(dim=d, c_max=1.0, unflatten=lambda flat: flat)
-    for seed in (0, 3, 99):
-        for skip in (0, 5, 13):
-            sampler = optimizer._sobol_sampler(space, seed, skip)
-            got = optimizer._draw_qmc(sampler, space, 3) + optimizer._draw_qmc(sampler, space, 4)
-            ref = optimizer.qmc.Sobol(d, scramble=True, seed=seed)
+    seeds, skips = ((7,), (1023,)) if d == 21201 else ((0, 3, 99), (0, 1, 7, 8, 13, 1023, 1024))
+    for seed in seeds:
+        for skip in skips:
+            stream = optimizer._sobol_stream(space, seed, skip + 7)
+            got = optimizer._draw_qmc(stream, space, skip, 3)
+            got += optimizer._draw_qmc(stream, space, skip + 3, 4)
+            ref = qmc.Sobol(d, scramble=True, seed=seed)
             if skip:
                 ref.fast_forward(skip)
             with warnings.catch_warnings():
@@ -653,13 +672,13 @@ def test_sobol_sampler_matches_scipy_scramble_bit_for_bit(d):
 
 def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp_path):
     built = []
-    sobol = optimizer.qmc.Sobol
+    build = optimizer._sobol_stream
 
-    def counting_sobol(*args, **kwargs):
-        built.append(kwargs)
-        return sobol(*args, **kwargs)
+    def counting_stream(*args):
+        built.append(args)
+        return build(*args)
 
-    monkeypatch.setattr(optimizer.qmc, "Sobol", counting_sobol)
+    monkeypatch.setattr(optimizer, "_sobol_stream", counting_stream)
     study = StudyConfig(n_qmc=7, n_refine=1, seed=4)
     space = SearchSpace.from_ring_config(tiny_ring)
     run_study(study, tiny_ring, tmp_path / "full.jsonl")
@@ -675,8 +694,8 @@ def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp
     assert len(logged) == len(expected) == 7
     for coeffs, tensor in zip(logged, expected):
         assert coeffs.tolist() == [float(x) for x in tensor.flatten()]
-    # a study past its QMC phase never builds the sampler
-    monkeypatch.setattr(optimizer.qmc, "Sobol", counting_sobol)
+    # a study past its QMC phase never builds the stream
+    monkeypatch.setattr(optimizer, "_sobol_stream", counting_stream)
     run_study(dataclasses.replace(study, n_refine=2), tiny_ring, tmp_path / "part.jsonl")
     assert len(built) == 3
 
