@@ -22,8 +22,9 @@ import time
 from pathlib import Path
 
 import numpy as np
+import orjson
 
-from . import __version__
+from . import __version__, floattext
 from .madc import madc
 from .optimizer import (
     CorruptTrialLog,
@@ -198,9 +199,16 @@ def _write_manifest(out_dir: Path, command: str, ring, study, seed, outputs) -> 
 
 
 def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None:
-    """One row per (t, s) node, time-major; floats written by ``repr`` (round-trip exact)."""
+    """One row per (t, s) node, time-major; floats spelled by ``repr`` (round-trip exact).
+
+    The rows are ``csv.writer``'s: comma-separated, each ending ``\\r\\n``.  One
+    orjson call writes the float block, whose text is repr's wherever
+    :func:`floattext.plain` holds; orjson's ``null`` for NaN becomes repr's
+    ``nan`` (no number's text contains ``null``).  Every other value (tiny,
+    huge or infinite) is spelled by repr in its row's text.
+    """
     n_t, n_s = field.corr.shape
-    columns = np.concatenate(
+    block = np.concatenate(
         [
             np.repeat(field.t_nodes, n_s)[:, None],
             np.tile(field.s_grid, n_t)[:, None],
@@ -211,11 +219,21 @@ def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None
         ],
         axis=1,
     )
-    feasible = np.tile(field.feasible.astype(int), n_t).tolist()
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
+    rows = text[2:-2].replace("null", "nan").split("],[")
+    respell = ~(floattext.plain(block) | np.isnan(block))
+    cells = {}  # row -> its values' text, for the rows holding a value to respell
+    row_index, column_index = (index.tolist() for index in np.nonzero(respell))
+    for i, j, value in zip(row_index, column_index, block[respell].tolist()):
+        if i not in cells:
+            cells[i] = rows[i].split(",")
+        cells[i][j] = repr(value)
+    for i, row in cells.items():
+        rows[i] = ",".join(row)
+    ends = [f",{int(flag)}\r\n" for flag in field.feasible] * n_t
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(GRID_HEADER)
-        writer.writerows([*map(repr, row), flag] for row, flag in zip(columns.tolist(), feasible))
+        fh.write(",".join(GRID_HEADER) + "\r\n")
+        fh.write("".join([row + end for row, end in zip(rows, ends)]))
 
 
 def cmd_simulate(args) -> int:

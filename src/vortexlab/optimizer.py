@@ -46,6 +46,7 @@ from pathlib import Path
 import numpy as np
 import orjson
 
+from . import floattext
 from .madc import madc
 from .ring_model import (
     CoefficientTensor,
@@ -96,11 +97,6 @@ _LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeff
 _NUMERIC_FIELDS = ("score", "madc", "feasible_fraction", "elapsed")
 # json.dumps' spelling; one encoder, as passing allow_nan to json.dumps builds one per call
 _LOG_ENCODER = json.JSONEncoder(allow_nan=False)
-# float.__repr__ (json's float text) and orjson write the same digits.  repr
-# uses plain notation exactly for 0 and 1e-4 <= |x| < 1e16, as orjson does
-# there; outside it repr writes 1e-05 and 1e+16 where orjson writes 0.00001 and 1e16
-_PLAIN_MIN = 1e-4
-_PLAIN_MAX = 1e16
 
 REFINE_SIGMA_INIT_FACTOR = 0.1
 # One success per five trials keeps sigma constant: 2**0.5 * (2**-0.125)**4 = 1
@@ -224,22 +220,15 @@ class TrialRecord:
 
 
 def _plain_floats(coeffs) -> bool:
-    """Whether ``coeffs`` is a C-contiguous 1-d float64 array of 0s and 1e-4 <= |x| < 1e16.
-
-    The comparisons are exact on doubles, and a NaN or infinity fails them.
-    """
-    if not (
+    """Whether ``coeffs`` is a C-contiguous 1-d float64 array that orjson spells as json does."""
+    return (
         type(coeffs) is np.ndarray
         and coeffs.dtype == np.float64
         and coeffs.ndim == 1
         and coeffs.flags.c_contiguous
-        and coeffs.size
-    ):
-        return False
-    mag = np.abs(coeffs)
-    if not np.maximum.reduce(mag) < _PLAIN_MAX:
-        return False
-    return bool(np.minimum.reduce(mag) >= _PLAIN_MIN or np.all((mag >= _PLAIN_MIN) | (mag == 0.0)))
+        and coeffs.size > 0
+        and floattext.all_plain(coeffs)
+    )
 
 
 @dataclass(frozen=True)

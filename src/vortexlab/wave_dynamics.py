@@ -287,7 +287,11 @@ def _cumulative_simpson(f: np.ndarray, width, out: np.ndarray) -> np.ndarray:
     panels += f[2::2]
     panels *= width / 6.0
     out[0] = 0.0
-    np.cumsum(panels, axis=0, out=panels)
+    # np.cumsum's additions in its order, bit for bit, but a whole row per add:
+    # ~4x faster than cumsum's leading-axis loop on a stack of 8, ~3 µs slower
+    # on one desk trial
+    for prev, row in zip(panels, panels[1:]):
+        row += prev
     return out
 
 

@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import pathlib
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 
 import vortexlab.cli as cli
 import vortexlab.verify as verify
+from vortexlab import floattext
 from vortexlab.cli import ConfigError, load_configs, main
 from vortexlab.optimizer import StudyConfig, run_study
 from vortexlab.ring_model import CoefficientTensor, RingConfig, phi_eval
@@ -618,6 +620,47 @@ def test_grid_csv_bytes_match_per_value_repr(tmp_path):
             values.append(field.corr[i, j])
             lines.append(",".join([repr(float(x)) for x in values] + [str(int(field.feasible[j]))]))
     assert path.read_bytes() == ("\r\n".join(lines) + "\r\n").encode()
+
+
+def grid_csv_reference(field, positions) -> bytes:
+    """The grid as ``csv.writer`` writes it with ``repr`` per value: the reference for the writer."""
+    n_t, n_s = field.corr.shape
+    text = io.StringIO(newline="")
+    writer = csv.writer(text)
+    writer.writerow(cli.GRID_HEADER)
+    for i in range(n_t):
+        for j in range(n_s):
+            values = [field.t_nodes[i], field.s_grid[j], *positions[i, j]]
+            values += [*field.zeta_star_hat[i, j], *field.zeta_hat[i, j], field.corr[i, j]]
+            writer.writerow([repr(float(x)) for x in values] + [int(field.feasible[j])])
+    return text.getvalue().encode()
+
+
+@pytest.mark.parametrize("case", ["amplitude 1e-3", "amplitude 1e-6", "zero", "nan columns", "special values"])
+def test_grid_csv_bytes_match_csv_writer_reference(tmp_path, case):
+    # the writer takes orjson's float text where floattext.plain holds and
+    # repr's elsewhere: tiny amplitudes send many positions to repr, and the
+    # special values reach every branch (NaN, infinities, tiny and huge)
+    ring = RingConfig(J=2, K=2, n_s=16, n_time=8)
+    amplitude = {"amplitude 1e-3": 1e-3, "amplitude 1e-6": 1e-6, "zero": 0.0}.get(case, 5.0)
+    flat = np.random.default_rng(4).uniform(-amplitude, amplitude, 36)
+    tensor = CoefficientTensor.from_flat(flat, 2, 2)
+    field = axis_field(tensor, ring)
+    positions = phi_eval(field.t_nodes, ring.s_grid, tensor, ring).position
+    if case == "special values":
+        corr = field.corr.copy()
+        corr[1, np.flatnonzero(field.feasible)[:2]] = [np.inf, -np.inf]
+        field = dataclasses.replace(field, corr=corr)
+        positions = positions.copy()
+        specials = [5e-324, -1e-05, np.nextafter(1e-4, 0.0), 1e-4, 1e16, -1e300, np.inf, np.nan, -0.0]
+        positions.reshape(-1)[3 : 3 + 5 * len(specials) : 5] = specials
+    path = tmp_path / "grid.csv"
+    cli._write_grid_csv(path, field, positions)
+    assert path.read_bytes() == grid_csv_reference(field, positions)
+    if case.startswith("amplitude"):  # most nodes hold a tiny position value
+        assert (~floattext.plain(positions)).any(axis=-1).mean() > 0.5
+    if case == "nan columns":
+        assert np.isnan(field.corr).any() and not np.isnan(field.corr).all()
 
 
 SCIPY_PROBE = """

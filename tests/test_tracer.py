@@ -73,3 +73,22 @@ def test_bench_inputs_build_both_workload_shapes():
     ring, study = inputs.study_configs(ROOT, inputs.RESUME, None)
     assert (ring.J, ring.K, ring.n_s) == (20, 10, 128)
     assert (study.n_qmc, study.n_refine, study.seed, study.strategy) == (10000, 10, 0, "perturb_best")
+
+
+def test_simulate_is_one_span_over_the_layers_it_calls(tmp_path):
+    # the benchmark reads cli.cmd_simulate.self_ms as simulate's own work, the
+    # grid writer included: the command is one span, and the layers it calls
+    # through cli's attributes are its children
+    tracer = load_tracer()
+    run = tracer.Tracer()
+    config = tmp_path / "ring.cfg"
+    config.write_text("J = 2\nK = 2\nn_s = 16\nn_time = 8\n")
+    try:
+        tracer.install(run)
+        assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+    finally:
+        run.remove()
+    commands = [i for i, span in enumerate(run.spans) if span[tracer.NAME] == "cli.cmd_simulate"]
+    assert len(commands) == 1
+    children = {span[tracer.NAME] for span in run.spans if span[tracer.PARENT] == commands[0]}
+    assert {"wave_dynamics.axis_field", "madc.madc", "ring_model.phi_eval"} <= children
