@@ -204,8 +204,9 @@ def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None
     The rows are ``csv.writer``'s: comma-separated, each ending ``\\r\\n``.  One
     orjson call writes the float block, whose text is repr's wherever
     :func:`floattext.plain` holds; orjson's ``null`` for NaN becomes repr's
-    ``nan`` (no number's text contains ``null``).  Every other value (tiny,
-    huge or infinite) is spelled by repr in its row's text.
+    ``nan`` (no number's text contains ``null``) when the block holds a NaN.
+    Every other value (tiny, huge or infinite) is spelled by repr in its
+    row's text.  The rows are written a time row at a time, never joined.
     """
     n_t, n_s = field.corr.shape
     block = np.concatenate(
@@ -219,8 +220,11 @@ def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None
         ],
         axis=1,
     )
-    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY).decode()
-    rows = text[2:-2].replace("null", "nan").split("],[")
+    text = orjson.dumps(block, option=orjson.OPT_SERIALIZE_NUMPY)[2:-2].decode()
+    if np.isnan(block).any():
+        text = text.replace("null", "nan")
+    rows = text.split("],[")
+    del text  # one copy of the grid's text at a time: the rows hold it now
     respell = ~(floattext.plain(block) | np.isnan(block))
     cells = {}  # row -> its values' text, for the rows holding a value to respell
     row_index, column_index = (index.tolist() for index in np.nonzero(respell))
@@ -230,10 +234,12 @@ def _write_grid_csv(path: Path, field: AxisField, positions: np.ndarray) -> None
         cells[i][j] = repr(value)
     for i, row in cells.items():
         rows[i] = ",".join(row)
-    ends = [f",{int(flag)}\r\n" for flag in field.feasible] * n_t
+    ends = [f",{int(flag)}\r\n" for flag in field.feasible]
     with open(path, "w", newline="") as fh:
         fh.write(",".join(GRID_HEADER) + "\r\n")
-        fh.write("".join([row + end for row, end in zip(rows, ends)]))
+        # a write per time row: a write per line is slower, one write of all holds the text twice
+        for i in range(0, len(rows), n_s):
+            fh.write("".join([row + end for row, end in zip(rows[i : i + n_s], ends)]))
 
 
 def cmd_simulate(args) -> int:

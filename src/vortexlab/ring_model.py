@@ -317,45 +317,62 @@ def _fourier_basis(s, K: int) -> tuple:
     return np.vstack([sin_k.T, cos_k.T]), np.vstack([(kfac * cos_k).T, (-kfac * sin_k).T])
 
 
-def deformation_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> DeformationValues:
+def deformation_eval(t, s, c: CoefficientTensor | np.ndarray, cfg: RingConfig) -> DeformationValues:
     """Evaluate gamma1, gamma2 and their exact partials at time(s) t.
 
     The series is (K+1)^-1 sum_jk c[l, m, j, k] (t - t0)^(j+1) trig(2 pi k s)
-    with m=0 the sine and m=1 the cosine family.  ``t`` is a scalar or a 1-d
-    array; outputs have shape ``t.shape + s.shape``.
+    with m=0 the sine and m=1 the cosine family.  For one CoefficientTensor
+    ``t`` is a scalar or a 1-d array, and outputs have shape
+    ``t.shape + s.shape``.  ``c`` may instead be a (B, 2, 2, J+1, K+1) array
+    stacking B tensors' coefficients, each with one angle: tensor b is
+    evaluated at times ``t[b]`` ((B, n) array) and angle ``s[b]`` ((B,)
+    or (B, 1) array), and outputs have shape ``t.shape``.
     """
     s = np.asarray(s, dtype=float)
     dt = np.asarray(t, dtype=float) - cfg.t0
-    K = c.K
+    stacked = not isinstance(c, CoefficientTensor)
+    coeffs = np.asarray(c, dtype=float) if stacked else c.c
+    J, K = coeffs.shape[-2] - 1, coeffs.shape[-1] - 1
     n_basis = 2 * (K + 1)
-
-    # time_coeffs[o, ..., l, (m, k)]: order-o time derivative of the polynomial sum
-    pows = _time_power_table(dt, c.J)
-    time_coeffs = np.einsum("o...j,lmjk->o...lmk", pows, c.c) / (K + 1.0)
-    time_coeffs = time_coeffs.reshape(4, -1, n_basis)
-
+    pows = _time_power_table(dt, J)
     basis, basis_s = _fourier_basis(s, K)
-
-    # one matmul for every (o, t..., l) row; the s-derivative needs only o = 0
-    values = (time_coeffs.reshape(-1, n_basis) @ basis).reshape((4,) + dt.shape + (2,) + s.shape)
-    slopes = (time_coeffs[0] @ basis_s).reshape(dt.shape + (2,) + s.shape)
+    if stacked:
+        # series[d, b, l, j]: tensor b's coefficient of (t - t0)^(j+1) at its angle (d = 1: its s-slope)
+        trig = np.stack([basis, basis_s]).reshape(2, 2, K + 1, -1) / (K + 1.0)
+        series = np.einsum("blmjk,dmkb->dblj", coeffs, trig)
+        values = np.einsum("obtj,blj->obtl", pows, series[0])
+        slopes = np.einsum("btj,blj->btl", pows[0], series[1])
+    else:
+        # time_coeffs[o, ..., l, (m, k)]: order-o time derivative of the polynomial sum
+        time_coeffs = np.einsum("o...j,lmjk->o...lmk", pows, coeffs) / (K + 1.0)
+        time_coeffs = time_coeffs.reshape(4, -1, n_basis)
+        # one matmul for every (o, t..., l) row; the s-derivative needs only o = 0
+        values = (time_coeffs.reshape(-1, n_basis) @ basis).reshape((4,) + dt.shape + (2,) + s.shape)
+        slopes = (time_coeffs[0] @ basis_s).reshape(dt.shape + (2,) + s.shape)
     g1, g2 = np.moveaxis(values, dt.ndim + 1, 0)
     g1_s, g2_s = np.moveaxis(slopes, dt.ndim, 0)
     return DeformationValues(*g1, g1_s, *g2, g2_s)
 
 
-def phi_eval(t, s, c: CoefficientTensor, cfg: RingConfig) -> RingPoint:
+def phi_eval(t, s, c: CoefficientTensor | np.ndarray, cfg: RingConfig) -> RingPoint:
     """Ring position and its closed-form t-derivatives (1-3) and s-derivative.
 
-    ``t`` is a scalar or a 1-d array of times; every component has shape
-    ``t.shape + s.shape`` (Cartesian vectors add a trailing axis of 3).
+    For one CoefficientTensor ``t`` is a scalar or a 1-d array of times and
+    every component has shape ``t.shape + s.shape`` (Cartesian vectors add a
+    trailing axis of 3).  For a (B, 2, 2, J+1, K+1) stack of coefficients
+    ``t`` is (B, n) and ``s`` is (B,), one angle per tensor, as
+    :func:`deformation_eval` takes them; components have shape ``t.shape``.
     """
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
+    if isinstance(c, CoefficientTensor):
+        # time profiles broadcast against the s axes
+        t_axes = t.reshape(t.shape + (1,) * s.ndim)
+    else:
+        t_axes, s = t, s[:, None]  # tensor b's angle against its times
     r = radius_profile(s, cfg.delta)
     r_s = radius_profile_deriv(s, cfg.delta)
-    # time profiles broadcast against the s axes
-    g, g1, g2, g3 = transport_gamma(t.reshape(t.shape + (1,) * s.ndim))
+    g, g1, g2, g3 = transport_gamma(t_axes)
     d = deformation_eval(t, s, c, cfg)
     return RingPoint(
         s=s,

@@ -563,26 +563,26 @@ def test_verify_command_passes(capsys):
         assert name in out
 
 
+def test_verify_stdout_is_pinned(capsys):
+    # captured from the one-point-at-a-time checks; the array passes print the same bytes
+    assert main(["verify"]) == 0
+    golden = pathlib.Path(__file__).with_name("golden_verify.txt").read_bytes()
+    assert capsys.readouterr().out.encode() == golden
+
+
 def test_verify_detects_injected_sign_error(monkeypatch, capsys):
-    # mutation check: a wrong sign in the inverse formula must flip the exit code
+    # mutation check: a wrong sign in the inverse formula must flip the exit code; the
+    # batched check sees every matrix point at once, so the copy works on arrays
     original = verify.check_inverse_matrix
 
     def broken(p):
-        a, b, c = verify._matrix_entries(p)
-        d = a - b * p.alpha1 - c * p.alpha2
-        if abs(d) <= verify.SINGULAR_D_EPS:
-            raise verify.SingularD("singular")
-        m = np.array([[a, b, c], [p.alpha1, 1.0, 0.0], [p.alpha2, 0.0, 1.0]])
-        m_inv = (
-            np.array(
-                [
-                    [1.0, b, c],  # flipped signs
-                    [-p.alpha1, a - c * p.alpha2, c * p.alpha1],
-                    [-p.alpha2, b * p.alpha2, a - b * p.alpha1],
-                ]
-            )
-            / d
-        )
+        d = verify._determinant(p)
+        a, b, c, x, y = np.broadcast_arrays(*verify._matrix_entries(p), p.alpha1, p.alpha2)
+        one, zero = np.ones_like(a), np.zeros_like(a)
+        shape = a.shape + (3, 3)
+        m = np.stack([a, b, c, x, one, zero, y, zero, one], axis=-1).reshape(shape)
+        flipped = [one, b, c, -x, a - c * y, c * x, -y, b * y, a - b * x]  # first row's signs
+        m_inv = (np.stack(flipped, axis=-1) / d[..., None]).reshape(shape)
         return float(np.max(np.abs(m @ m_inv - np.eye(3))))
 
     monkeypatch.setattr(verify, "check_inverse_matrix", broken)
@@ -590,6 +590,36 @@ def test_verify_detects_injected_sign_error(monkeypatch, capsys):
     assert "FAIL" in capsys.readouterr().out
     monkeypatch.setattr(verify, "check_inverse_matrix", original)
     assert main(["verify"]) == 0
+
+
+def failing_checks(out: str) -> list:
+    return [line.split()[0] for line in out.splitlines() if "FAIL" in line]
+
+
+def test_verify_detects_flipped_expansion_term(monkeypatch, capsys):
+    # one term of the R1 coefficient of 1/D's linear expansion with its sign flipped
+    def flipped(p):
+        coeff1 = (-p.kappa + p.dz_alpha1) - p.alpha1**2 * p.kappa + p.torsion * p.alpha2
+        coeff2 = p.dz_alpha2 - (-p.torsion + p.alpha2 * p.kappa) * p.alpha1
+        return coeff1, coeff2
+
+    monkeypatch.setattr(verify, "_expansion_coefficients", flipped)
+    assert main(["verify"]) == 1
+    assert failing_checks(capsys.readouterr().out) == ["dinv_expansion"]
+
+
+def test_verify_detects_scaled_second_derivative(monkeypatch, capsys):
+    # phi_eval's d2 off by a relative 1e-3 inside the Leibniz check's one evaluation
+    def scaled(t, s, c, cfg):
+        p = phi_eval(t, s, c, cfg)
+        radial, vertical = p.radial.copy(), p.vertical.copy()
+        radial[2] *= 1.0 + 1e-3
+        vertical[2] *= 1.0 + 1e-3
+        return dataclasses.replace(p, radial=radial, vertical=vertical)
+
+    monkeypatch.setattr(verify, "phi_eval", scaled)
+    assert main(["verify"]) == 1
+    assert failing_checks(capsys.readouterr().out) == ["leibniz_identity"]
 
 
 def test_verify_detects_flipped_forcing_term(monkeypatch, capsys):
@@ -636,7 +666,9 @@ def grid_csv_reference(field, positions) -> bytes:
     return text.getvalue().encode()
 
 
-@pytest.mark.parametrize("case", ["amplitude 1e-3", "amplitude 1e-6", "zero", "nan columns", "special values"])
+@pytest.mark.parametrize(
+    "case", ["amplitude 1e-3", "amplitude 1e-6", "zero", "nan columns", "no nan", "special values"]
+)
 def test_grid_csv_bytes_match_csv_writer_reference(tmp_path, case):
     # the writer takes orjson's float text where floattext.plain holds and
     # repr's elsewhere: tiny amplitudes send many positions to repr, and the
@@ -654,6 +686,10 @@ def test_grid_csv_bytes_match_csv_writer_reference(tmp_path, case):
         positions = positions.copy()
         specials = [5e-324, -1e-05, np.nextafter(1e-4, 0.0), 1e-4, 1e16, -1e300, np.inf, np.nan, -0.0]
         positions.reshape(-1)[3 : 3 + 5 * len(specials) : 5] = specials
+    if case == "no nan":  # the writer skips its null -> nan pass
+        filled = {name: np.nan_to_num(getattr(field, name), nan=0.5) for name in ("corr", "alpha1", "alpha2")}
+        field = dataclasses.replace(field, **filled)
+        assert not any(np.isnan(x).any() for x in (field.corr, field.zeta_hat, field.zeta_star_hat))
     path = tmp_path / "grid.csv"
     cli._write_grid_csv(path, field, positions)
     assert path.read_bytes() == grid_csv_reference(field, positions)

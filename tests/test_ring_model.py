@@ -262,6 +262,26 @@ def test_array_of_times_matches_per_time_calls(desk_cfg):
     assert phi_eval(times, 0.3, c, desk_cfg).d1.shape == (len(times), 3)
 
 
+def test_stacked_tensors_match_single_tensor_calls(desk_cfg):
+    # a (B, 2, 2, J+1, K+1) stack, each tensor at its own times and one angle
+    rng = np.random.default_rng(14)
+    coeffs = rng.uniform(-0.5, 0.5, (100, 2, 2, desk_cfg.J + 1, desk_cfg.K + 1))
+    h = desk_cfg.fd_step
+    times = np.add.outer(rng.uniform(desk_cfg.t0, desk_cfg.t1, 100), [-h, 0.0, h])
+    s = rng.uniform(0.0, 1.0, 100)
+    stack = phi_eval(times, s, coeffs, desk_cfg)
+    assert stack.d2.shape == (100, 3, 3)
+    for b in range(100):
+        single = phi_eval(times[b], s[b], CoefficientTensor(coeffs[b]), desk_cfg)
+        for name in ("position", "d1", "d2", "d3", "ds"):
+            want = getattr(single, name)
+            # relative to each vector's size: a component can cancel to ~0
+            error = np.abs(getattr(stack, name)[b] - want).max(axis=-1)
+            assert np.all(error <= 1e-13 * np.abs(want).max(axis=-1)), name
+    deformation = deformation_eval(times, s, coeffs, desk_cfg)
+    assert deformation.g1_s.shape == times.shape
+
+
 def test_coefficient_tensor_shape_and_bounds():
     with pytest.raises(ValueError):
         CoefficientTensor(np.zeros((2, 3, 4, 5)))

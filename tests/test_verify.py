@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import vortexlab.verify as verify
 from vortexlab.ring_model import CoefficientTensor, RingConfig
 from vortexlab.verify import (
     FrameMatrixInput,
@@ -13,7 +16,7 @@ from vortexlab.verify import (
     run_all_checks,
 )
 
-from oracles import dense_inverse_residual
+from oracles import dense_inverse_residual, verify_reference_samples, verify_reference_values
 
 
 def make_input(rng, with_r=True):
@@ -175,3 +178,70 @@ def test_run_all_checks_passes():
         "closure_rearrangement",
     ]
     assert all(r.passed for r in results)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_batched_samples_equal_the_rejection_loops(seed):
+    rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+    samples = verify._draw_samples(rng, RingConfig(J=4, K=6, n_s=16))
+    for batched, looped in zip(samples, verify_reference_samples(reference), strict=True):
+        assert np.array_equal(batched, looped)
+    # the closure samples that follow come from the same place in the stream
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_draw_rows_redraws_when_the_first_block_runs_short():
+    # kappa and R1 near 1 put D near 0: about half of these rows fail |D| > 0.1, more
+    # than the first block's margin allows for
+    low = np.array([0.9, -0.01, -0.01, -0.01, -0.01, -0.01, 0.9, -0.01])
+    high = np.array([1.1, 0.01, 0.01, 0.01, 0.01, 0.01, 1.1, 0.01])
+    rng, reference = np.random.default_rng(7), np.random.default_rng(7)
+    rows = verify._draw_rows(rng, 100, low, high)
+    looped, drawn = [], 0
+    while len(looped) < 100:
+        row = reference.uniform(low, high)
+        drawn += 1
+        if verify._well_conditioned(row[None])[0]:
+            looped.append(row)
+    assert drawn > 100 + 100 // 16 + 16
+    assert np.array_equal(rows, np.array(looped))
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_checks_match_the_point_by_point_reference():
+    # array passes reorder sums, so only the Leibniz residual (a central difference over
+    # fd_step, which amplifies rounding by ~1/h) moves by more than an ulp or two
+    for seed in range(20):
+        inverse, dinv, leibniz, closure = (r.value for r in run_all_checks(seed))
+        ref_inverse, ref_dinv, ref_leibniz, ref_closure = verify_reference_values(seed)
+        assert abs(inverse - ref_inverse) <= 1e-15
+        assert dinv == pytest.approx(ref_dinv, rel=1e-12, abs=0)
+        assert leibniz == pytest.approx(ref_leibniz, rel=1e-3, abs=0)
+        assert abs(closure - ref_closure) <= 1e-15
+
+
+def test_checks_take_arrays_of_points():
+    # a batch gives what its points give one at a time
+    rng = np.random.default_rng(24)
+    rows = np.array([dataclasses.astuple(make_input(rng)) for _ in range(200)])
+    rows = rows[verify._well_conditioned(rows)]
+    points = [FrameMatrixInput(*row) for row in rows]
+    assert check_inverse_matrix(FrameMatrixInput(*rows.T)) == max(map(check_inverse_matrix, points))
+    singular = FrameMatrixInput(*np.array([rows[0], [0.0, 2.0, 1.0, 0.0, 0.0, 0.0, 0.0, -0.5]]).T)
+    with pytest.raises(SingularD):
+        check_inverse_matrix(singular)
+
+    directions = [(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)]
+    slopes = check_dinv_expansion(FrameMatrixInput(*rows.T[:, :, None, None]), directions)
+    assert slopes.shape == (len(rows), 3)
+    for point, row in zip(points, slopes):
+        assert row == pytest.approx([check_dinv_expansion(point, d) for d in directions], rel=1e-14)
+
+    cfg = RingConfig(J=4, K=6, n_s=16)
+    coeffs = rng.uniform(-0.5, 0.5, (10, 2, 2, cfg.J + 1, cfg.K + 1))
+    t, s = rng.uniform(cfg.t0, cfg.t1, 10), rng.uniform(0.0, 1.0, 10)
+    residuals = check_leibniz_identity(coeffs, cfg, t, s)
+    assert residuals.shape == (10,)
+    for b in range(10):
+        single = check_leibniz_identity(CoefficientTensor(coeffs[b]), cfg, t[b], s[b])
+        assert residuals[b] == pytest.approx(single, rel=1e-3)
