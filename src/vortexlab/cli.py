@@ -12,7 +12,6 @@ turns the exceptions in ``_EXIT_CODES`` into codes 2-4 and one ``error:`` line.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -307,24 +306,37 @@ def cmd_optimize(args) -> int:
 
 
 def _read_grid_csv(path: Path) -> np.ndarray:
-    """The grid's numeric columns, one row per node; every row needs t, s and the position."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != GRID_HEADER:
-                raise ConfigError(f"grid file {path}: unexpected header {header}")
-            rows = [row[:12] for row in reader]
-        except UnicodeDecodeError as exc:
-            raise ConfigError(f"grid file {path}: {exc}") from exc
-    if not rows:
+    """The grid's first 12 columns, one row per node.
+
+    The header must be ``GRID_HEADER``; each line after it, a row of at least
+    5 numbers (t, s, x, y, z and optional columns after them), every row as
+    wide as the first.  One ``np.loadtxt`` call parses every row, with no
+    comment or quote character; t, s and the position must be finite.
+    """
+    try:
+        with open(path) as fh:
+            lines = fh.read().split("\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"grid file {path}: {exc}") from exc
+    if lines[0] != ",".join(GRID_HEADER):
+        raise ConfigError(f"grid file {path}: unexpected header {lines[0]!r}")
+    rows = lines[1:-1] if not lines[-1] else lines[1:]  # the newline ending the last row
+    if not any(rows):  # loadtxt only warns on input without data
         raise ConfigError(f"grid file {path}: no data rows")
-    # ragged rows do not convert; equal rows must reach z
-    data = _floats(rows, f"grid file {path}: malformed row")
+    try:
+        data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise ConfigError(f"grid file {path}: malformed row ({exc})") from exc
+    if len(data) < len(rows):  # loadtxt skips blank lines
+        raise ConfigError(f"grid file {path}: line {rows.index('') + 2} is blank")
     width = GRID_HEADER.index("z") + 1
     if data.shape[1] < width:
         raise ConfigError(f"grid file {path}: {data.shape[1]} values a row, need at least {width}")
-    return data
+    finite = np.isfinite(data[:, :width]).all(axis=1)
+    if not finite.all():
+        line = int(np.argmin(finite)) + 2
+        raise ConfigError(f"grid file {path}: line {line}: t, s, x, y and z must be finite")
+    return data[:, :12]
 
 
 def cmd_render(args) -> int:

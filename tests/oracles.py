@@ -185,3 +185,35 @@ def verify_reference_values(seed):
     )
     values.append(float(max(res1.max(), res2.max())))
     return values
+
+
+# -- `vortexlab render`'s grid reader, one cell at a time --------------------
+#
+# The reader `cli._read_grid_csv` used before numpy's C parser took over:
+# `csv.reader` splits the rows and `np.array` converts every cell with
+# Python's `float`.  The reference for the arrays it returns.
+
+
+def read_grid_csv_reference(path):
+    """The grid's numeric columns, one row per node; every row needs t, s and the position."""
+    import csv
+
+    from vortexlab.cli import GRID_HEADER, ConfigError, _floats
+
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != GRID_HEADER:
+                raise ConfigError(f"grid file {path}: unexpected header {header}")
+            rows = [row[:12] for row in reader]
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"grid file {path}: {exc}") from exc
+    if not rows:
+        raise ConfigError(f"grid file {path}: no data rows")
+    # ragged rows do not convert; equal rows must reach z
+    data = _floats(rows, f"grid file {path}: malformed row")
+    width = GRID_HEADER.index("z") + 1
+    if data.shape[1] < width:
+        raise ConfigError(f"grid file {path}: {data.shape[1]} values a row, need at least {width}")
+    return data

@@ -15,9 +15,12 @@ import vortexlab.cli as cli
 import vortexlab.verify as verify
 from vortexlab import floattext
 from vortexlab.cli import ConfigError, load_configs, main
-from vortexlab.optimizer import StudyConfig, run_study
+from vortexlab.optimizer import SearchSpace, StudyConfig, run_study, sample_qmc
+from vortexlab.plots import render_ring_svg
 from vortexlab.ring_model import CoefficientTensor, RingConfig, phi_eval
 from vortexlab.wave_dynamics import axis_field
+
+from oracles import read_grid_csv_reference
 
 DESK_CONFIG = """
 # desk-scale setup
@@ -500,6 +503,76 @@ def test_render_empty_grid_exits_2(tmp_path, capsys):
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
 
 
+def _grid_row(column=None, text=None):
+    """A simulate-shaped grid row (13 cells, NaN corr), cell ``column`` replaced by ``text``."""
+    cells = ["0.0", "0.25", "1.0", "0.0", "0.0", "0.1", "0.2", "0.3", "0.4", "0.5", "0.6", "nan", "1"]
+    if column is not None:
+        cells[column] = text
+    return ",".join(cells) + "\r\n"
+
+
+_HEADER = ",".join(cli.GRID_HEADER) + "\r\n"
+_ROW = _grid_row()
+
+# name -> (grid file, whether the csv.reader + float reader render used before took it)
+GRID_REFUSALS = {
+    "empty file": ("", False),
+    "wrong header": ("t,s,x,y,z\r\n" + _ROW, False),
+    "quoted header": (",".join(f'"{name}"' for name in cli.GRID_HEADER) + "\r\n" + _ROW, True),
+    "no data rows": (_HEADER, False),
+    "only a blank line": (_HEADER + "\r\n", False),
+    "2 values a row": (_HEADER + "1,2\r\n", False),
+    "ragged rows": (_HEADER + _ROW + "0.0,0.5,1.0,0.0,0.0\r\n", False),
+    "ragged after column 12": (_HEADER + _ROW + _ROW.replace("\r\n", ",0\r\n"), True),
+    "blank first line": (_HEADER + "\r\n" + _ROW, False),
+    "blank line between rows": (_HEADER + _ROW + "\r\n" + _ROW, False),
+    "blank last line": (_HEADER + _ROW + "\r\n", False),
+    "not UTF-8": (_HEADER.encode() + b"0.0,0.25,\xff,0.0,0.0\r\n", False),
+    **{f"non-number in column {j}": (_HEADER + _ROW + _grid_row(j, "x"), False) for j in range(12)},
+    "non-number in column 12": (_HEADER + _ROW + _grid_row(12, "x"), True),
+    "empty cell": (_HEADER + _grid_row(3, ""), False),
+    "trailing comma": (_HEADER + _ROW.replace("\r\n", ",\r\n"), True),
+    "# cell": (_HEADER + _grid_row(2, "#"), False),
+    "comment line": (_HEADER + _ROW + "# note\r\n", False),
+    "quoted cell": (_HEADER + _grid_row(2, '"1.0"'), True),
+    "underscore in a number": (_HEADER + _grid_row(2, "1_0"), True),
+    "non-ASCII digit": (_HEADER + _grid_row(2, "\u0661"), True),
+    **{
+        f"{text} in {name}": (_HEADER + _ROW + _grid_row(j, text), True)
+        for j, name in enumerate("tsxyz")
+        for text in ("nan", "-inf")
+    },
+}
+
+
+@pytest.mark.parametrize("case", list(GRID_REFUSALS))
+def test_render_refuses_malformed_grid(tmp_path, capsys, case):
+    text, reference_took_it = GRID_REFUSALS[case]
+    grid = tmp_path / "grid.csv"
+    grid.write_bytes(text if isinstance(text, bytes) else text.encode())
+    out = tmp_path / "figs"
+    assert main(["render", "--grid", str(grid), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: grid file {grid}: ") and err.count("\n") == 1
+    assert not out.exists()
+    # a changed outcome: the reference reader returned these rows (a NaN t then crashed render)
+    if reference_took_it:
+        assert read_grid_csv_reference(grid).shape[1] == 12
+    else:
+        with pytest.raises(ConfigError):
+            read_grid_csv_reference(grid)
+
+
+def test_render_grid_refusals_name_the_line(tmp_path, capsys):
+    grid = tmp_path / "grid.csv"
+    grid.write_text(_HEADER + _ROW + _ROW + "\r\n" + _ROW)
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: grid file {grid}: line 4 is blank\n"
+    grid.write_text(_HEADER + _ROW + _grid_row(2, "nan"))
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: grid file {grid}: line 3: t, s, x, y and z must be finite\n"
+
+
 def test_render_grid_rows_need_t_s_and_position(tmp_path, capsys):
     grid = tmp_path / "grid.csv"
     header = ",".join(cli.GRID_HEADER) + "\n"
@@ -509,15 +582,50 @@ def test_render_grid_rows_need_t_s_and_position(tmp_path, capsys):
     grid.write_text(header + "0,0,1,0,0\n1,2\n")
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
     assert not (tmp_path / "f").exists()
-    # render reads t, s and x, y, z; the columns after them are optional
+    # render reads t, s and x, y, z; the columns after them are optional, and may hold NaN
     s = np.linspace(0.0, 1.0, 8, endpoint=False)
     for width in (5, 12):
         rows = np.zeros((len(s), width))
         rows[:, 1], rows[:, 2], rows[:, 3] = s, np.cos(2 * np.pi * s), np.sin(2 * np.pi * s)
+        rows[:, 5:] = np.nan
         grid.write_text(header + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()))
+        _assert_same_bits(cli._read_grid_csv(grid), read_grid_csv_reference(grid))
         out = tmp_path / f"f{width}"
         assert main(["render", "--grid", str(grid), "--out", str(out)]) == 0
         assert (out / "ring_initial.svg").exists()
+
+
+def _assert_same_bits(data, reference):
+    assert data.dtype == reference.dtype == np.float64 and data.shape == reference.shape
+    nan = np.isnan(reference)
+    assert np.array_equal(np.isnan(data), nan)
+    assert np.array_equal(data[~nan].view(np.uint64), reference[~nan].view(np.uint64))
+
+
+@pytest.mark.parametrize("shape", ["desk", "full"])
+@pytest.mark.parametrize("tensor", ["zero", "sobol"])
+def test_render_matches_the_reference_reader(tmp_path, capsys, shape, tensor):
+    # simulate's grids read bit for bit as csv.reader + float read them, and render the same SVGs
+    config = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{shape}.cfg"
+    argv = ["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]
+    if tensor == "sobol":
+        ring, _ = load_configs(config)
+        coeffs = tmp_path / "c.json"
+        sample_qmc(SearchSpace.from_ring_config(ring), 1, seed=0)[0].save(coeffs)
+        argv += ["--coeffs", str(coeffs)]
+    assert main(argv) == 0
+    grid = tmp_path / "sim" / "grid.csv"
+    reference = read_grid_csv_reference(grid)
+    assert np.isnan(reference[:, 11]).any()  # infeasible columns: the reader keeps NaN past z
+    _assert_same_bits(cli._read_grid_csv(grid), reference)
+
+    figs = tmp_path / "figs"
+    assert main(["render", "--grid", str(grid), "--out", str(figs)]) == 0
+    times = np.unique(reference[:, 0])
+    for name, t in (("initial", times[0]), ("terminal", times[-1])):
+        rows = reference[reference[:, 0] == t]
+        svg = render_ring_svg(rows[np.argsort(rows[:, 1])][:, 2:5], f"ring at t = {t:.6f}")
+        assert (figs / f"ring_{name}.svg").read_bytes() == svg.encode()
 
 
 @pytest.mark.parametrize("command, flag", [("simulate", "--config"), ("render", "--grid")])
