@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -305,13 +306,39 @@ def cmd_optimize(args) -> int:
     return 0
 
 
+def _first_defect(rows: list):
+    """The first defect, in file order, of grid rows ``np.loadtxt`` refused; None if none is found.
+
+    A blank row, a row not as wide as the first, or a cell the parser refuses
+    (each cell parsed alone, with the same options).  Lines and columns count
+    from 1, the header being line 1.
+    """
+    width = rows[0].count(",") + 1
+    for line, row in enumerate(rows, start=2):
+        if not row:
+            return f"line {line} is blank"
+        cells = row.split(",")
+        if len(cells) != width:
+            return f"line {line}: width {len(cells)}, line 2 has width {width}"
+        try:
+            np.loadtxt([row], delimiter=",", comments=None)
+        except ValueError:
+            for column, cell in enumerate(cells):
+                try:
+                    np.loadtxt([row], delimiter=",", comments=None, usecols=column)
+                except ValueError:
+                    return f"line {line}: column {column + 1} is not a number ({cell!r})"
+    return None
+
+
 def _read_grid_csv(path: Path) -> np.ndarray:
     """The grid's first 12 columns, one row per node.
 
     The header must be ``GRID_HEADER``; each line after it, a row of at least
     5 numbers (t, s, x, y, z and optional columns after them), every row as
     wide as the first.  One ``np.loadtxt`` call parses every row, with no
-    comment or quote character; t, s and the position must be finite.
+    comment or quote character; t, s and the position must be finite.  A
+    refusal names the file line at fault.
     """
     try:
         with open(path) as fh:
@@ -326,7 +353,8 @@ def _read_grid_csv(path: Path) -> np.ndarray:
     try:
         data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
-        raise ConfigError(f"grid file {path}: malformed row ({exc})") from exc
+        defect = _first_defect(rows) or f"malformed row ({exc})"
+        raise ConfigError(f"grid file {path}: {defect}") from exc
     if len(data) < len(rows):  # loadtxt skips blank lines
         raise ConfigError(f"grid file {path}: line {rows.index('') + 2} is blank")
     width = GRID_HEADER.index("z") + 1
@@ -399,7 +427,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", default=None, help="config file (key = value or JSON)")
     p.add_argument("--coeffs", default=None, help="coefficient JSON (default: zeros)")
     p.add_argument("--out", default="simulate_out", help="output directory")
-    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("optimize", help="search deformation coefficients")
     p.add_argument("--config", default=None)
@@ -407,31 +434,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials-qmc", type=int, default=None, help="low-discrepancy trials")
     p.add_argument("--trials-refine", type=int, default=None, help="refinement trials")
     p.add_argument("--seed", type=int, default=None)
-    p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("render", help="SVG figures from a simulation grid")
     p.add_argument("--grid", required=True, help="grid.csv from simulate")
     p.add_argument("--times", default="initial,terminal")
     p.add_argument("--out", default="render_out")
-    p.set_defaults(func=cmd_render)
 
     p = sub.add_parser("spectrum", help="deformation mode energies")
     p.add_argument("--coeffs", required=True)
     p.add_argument("--config", default=None)
     p.add_argument("--time", default="terminal")
     p.add_argument("--out", default="spectrum_out")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("verify", help="numerical checks of the derivation identities")
-    p.set_defaults(func=cmd_verify)
+    sub.add_parser("verify", help="numerical checks of the derivation identities")
 
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's parser, built on the first ``main`` call (not at import)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    """Run one command; callable any number of times in one process.
+
+    The parser is built once and reused: ``parse_args`` keeps its state in the
+    namespace it returns.  The handler is the module's ``cmd_<command>`` at
+    call time, so a function replaced after the first call is the one run.
+    """
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        return globals()[f"cmd_{args.command}"](args)
     except tuple(_EXIT_CODES) as exc:
         code, prefix = next(_EXIT_CODES[k] for k in type(exc).__mro__ if k in _EXIT_CODES)
         print(f"error: {prefix}{exc}", file=sys.stderr)

@@ -308,6 +308,58 @@ def test_exception_outside_exit_table_propagates(monkeypatch):
         main(["spectrum", "--coeffs", "c.json"])
 
 
+def test_repeated_calls_share_no_state(tmp_path, capsys):
+    # main reuses one parser per process: a flag given to one call is not a default of the next
+    cfgfile = tmp_path / "cfg"
+    cfgfile.write_text("J = 2\nK = 4\nn_s = 16\nn_time = 8\n")
+    arr = np.zeros((2, 2, 3, 5))
+    arr[0, 1, 1, 1] = 5.0  # a time-dependent mode: its energy differs at t0 and t1
+    coeffs = tmp_path / "c.json"
+    CoefficientTensor(arr).save(coeffs)
+    tables = {}
+    for name, time in (("initial", ["--time", "initial"]), ("default", []), ("terminal", ["--time", "terminal"])):
+        out = tmp_path / name
+        assert main(["spectrum", "--coeffs", str(coeffs), "--config", str(cfgfile), "--out", str(out)] + time) == 0
+        tables[name] = (out / "spectrum.csv").read_bytes()
+    assert tables["default"] == tables["terminal"] != tables["initial"]
+
+
+def _parse_outcome(parse, argv, capsys):
+    """(namespace dict or exit code, stdout, stderr) of ``parse(argv)``."""
+    try:
+        result = vars(parse(argv))
+    except SystemExit as exc:
+        result = exc.code
+    out = capsys.readouterr()
+    return result, out.out, out.err
+
+
+def test_repeated_calls_parse_as_a_fresh_parser(monkeypatch, capsys):
+    # after a usage error or --version, main's next call parses as a new parser does
+    seen = []
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: seen.append(args) or 0)
+
+    def via_main(argv):
+        assert main(argv) == 0
+        return seen.pop()
+
+    sequence = [
+        ["spectrum", "--coeffs", "c.json", "--time", "initial"],
+        ["spectrum", "--coeffs", "c.json"],
+        ["spectrum", "--time", "initial"],  # --coeffs is required: usage error, exit 2
+        ["spectrum", "--coeffs", "c.json"],
+        ["--version"],  # exit 0
+        ["spectrum", "--coeffs", "c.json", "--out", "o"],
+        ["bogus"],  # exit 2
+        ["spectrum", "--coeffs", "c.json"],
+    ]
+    outcomes = [_parse_outcome(via_main, argv, capsys) for argv in sequence]
+    fresh = [_parse_outcome(lambda a: cli.build_parser().parse_args(a), argv, capsys) for argv in sequence]
+    assert outcomes == fresh
+    assert [outcome[0] for outcome in outcomes[2::2]] == [2, 0, 2]
+    assert outcomes[1][0]["time"] == outcomes[3][0]["time"] == "terminal"
+
+
 def test_config_annotations_are_parsed_kinds():
     # _parse_scalar reads a key's kind from its field annotation
     for config in (RingConfig, StudyConfig):
@@ -554,6 +606,7 @@ def test_render_refuses_malformed_grid(tmp_path, capsys, case):
     assert main(["render", "--grid", str(grid), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: grid file {grid}: ") and err.count("\n") == 1
+    assert "malformed row" not in err  # each parser refusal is named by its line
     assert not out.exists()
     # a changed outcome: the reference reader returned these rows (a NaN t then crashed render)
     if reference_took_it:
@@ -571,6 +624,17 @@ def test_render_grid_refusals_name_the_line(tmp_path, capsys):
     grid.write_text(_HEADER + _ROW + _grid_row(2, "nan"))
     assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
     assert capsys.readouterr().err == f"error: grid file {grid}: line 3: t, s, x, y and z must be finite\n"
+    # the parser's own refusals name the file line and a 1-based column, not its 0-based row
+    grid.write_text(_HEADER + _grid_row(3, "x") + _ROW)
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: grid file {grid}: line 2: column 4 is not a number ('x')\n"
+    grid.write_text(_HEADER + _ROW + _ROW + "0.0,0.5,1.0,0.0,0.0\r\n")
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: grid file {grid}: line 4: width 5, line 2 has width 13\n"
+    # the first defect in file order, whichever the parser met first
+    grid.write_text(_HEADER + _ROW + "\r\n" + _grid_row(0, "x"))
+    assert main(["render", "--grid", str(grid), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"error: grid file {grid}: line 3 is blank\n"
 
 
 def test_render_grid_rows_need_t_s_and_position(tmp_path, capsys):

@@ -83,6 +83,9 @@ def test_simulate_is_one_span_over_the_layers_it_calls(tmp_path):
     run = tracer.Tracer()
     config = tmp_path / "ring.cfg"
     config.write_text("J = 2\nK = 2\nn_s = 16\nn_time = 8\n")
+    # main builds its parser once per process, so it must find the handler at call
+    # time: a handler captured by a call before install would run unwrapped
+    assert cli.main(["verify"]) == 0
     try:
         tracer.install(run)
         assert cli.main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
