@@ -294,6 +294,14 @@ def _sobol_stream(space: SearchSpace, seed: int, n_points: int) -> tuple:
     the first bit_length(n_points - 1) direction numbers, and those have no
     bit below 30 - bit_length, so only they and their columns are built.
     ``directions`` is uint32 (bit_length, d), one row per direction number.
+
+    scipy draws each bit as ``rng.integers(2, dtype=np.uint32)``, which
+    is bit 31 of one 32-bit word: Lemire's method (Lemire 2019) at range 2 multiplies
+    the word by 2 and keeps the high half, ``word >> 31``, and never
+    rejects, as its threshold (2**32 - 2) mod 2 is 0.  PCG64 hands out a
+    64-bit word's low half first, then its high half.  So the d * 930 bits
+    are bit 31 of the halves, low half first, of d * 465 raw words of the
+    same generator, and the stream takes them from ``random_raw`` directly.
     """
     if space.dim > _SOBOL_MAX_DIM:
         raise DimensionTooLarge(
@@ -301,13 +309,17 @@ def _sobol_stream(space: SearchSpace, seed: int, n_points: int) -> tuple:
         )
     if n_points > _SOBOL_MAX_POINTS:
         raise ValueError(f"{n_points} Sobol points exceed the stream's 2**30")
-    rng = np.random.default_rng(seed)
-    shift = rng.integers(2, size=(space.dim, _SOBOL_BITS), dtype=np.uint32) @ _SOBOL_POW2
-    lms = rng.integers(2, size=(space.dim, _SOBOL_BITS, _SOBOL_BITS), dtype=np.uint32)
+    # the shift bits, then the (d, 30, 30) LMS bits: two bits to a raw word
+    n_shift = space.dim * _SOBOL_BITS
+    words = np.random.default_rng(seed).bit_generator.random_raw(n_shift * (1 + _SOBOL_BITS) // 2)
+    # the halves in the generator's order on any byte order: little-endian words, low half first
+    halves = words.astype("<u8", copy=False).view("<u4")
+    shift = (halves[:n_shift] >> 31).reshape(space.dim, _SOBOL_BITS) @ _SOBOL_POW2
     n_dir = max(n_points - 1, 0).bit_length()
-    # columns 29, 28, ..., 30 - n_dir of each matrix, and the bits of v that select them
+    # only columns 29, 28, ..., 30 - n_dir of each matrix, and the bits of v that select them
+    lms = halves[n_shift:].reshape(space.dim, _SOBOL_BITS, _SOBOL_BITS)[:, :, :n_dir] >> 31
     top = _SOBOL_POW2[::-1][:n_dir]
-    columns = np.einsum("dpk,pk->dk", lms[:, :, :n_dir], _LMS_WEIGHTS[:, :n_dir]) + top
+    columns = np.einsum("dpk,pk->dk", lms, _LMS_WEIGHTS[:, :n_dir]) + top
     selected = (_direction_numbers(space.dim)[:, :n_dir, None] & top) != 0
     directions = np.bitwise_xor.reduce(selected * columns[:, None, :], axis=2)
     return shift, np.ascontiguousarray(directions.T)
@@ -341,11 +353,21 @@ def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
     The stream is deterministic in (seed, space) and point i never depends
     on n; ``skip`` starts the draw at point ``skip`` for resumption, so
     consecutive draws from one stream (as :func:`run_study` makes) give the
-    same points as calls with increasing ``skip``.  A dimension above
-    21201 raises DimensionTooLarge, and ``skip + n`` beyond the stream's
-    2**30 points ValueError, before any point is drawn.
+    same points as calls with increasing ``skip``.  A negative ``n`` or
+    ``skip`` raises ValueError, a dimension above 21201 DimensionTooLarge,
+    and ``skip + n`` beyond the stream's 2**30 points ValueError, all
+    before any point is drawn.  The points are drawn ``QMC_STACK`` at a
+    time, so only one stack's float64 block is alive next to the tensors.
     """
-    return _draw_qmc(_sobol_stream(space, seed, skip + n), space, skip, n)
+    for name, value in (("n", n), ("skip", skip)):
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+    stream = _sobol_stream(space, seed, skip + n)
+    return [
+        tensor
+        for start in range(skip, skip + n, QMC_STACK)
+        for tensor in _draw_qmc(stream, space, start, min(QMC_STACK, skip + n - start))
+    ]
 
 
 def _refine_state(history: list, c_max: float) -> tuple:

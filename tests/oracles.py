@@ -1,8 +1,9 @@
 """Independent numerical oracles used across the test suite.
 
-Everything here works from sampled positions (or raw callables) with finite
-differences, deliberately avoiding the package's closed-form derivative
-paths so the two routes check each other.
+The derivative oracles work from sampled positions (or raw callables) with
+finite differences, deliberately avoiding the package's closed-form
+derivative paths so the two routes check each other.  The sections after
+them keep the loops and draws a faster path replaced, as its reference.
 """
 
 import numpy as np
@@ -217,3 +218,35 @@ def read_grid_csv_reference(path):
     if data.shape[1] < width:
         raise ConfigError(f"grid file {path}: {data.shape[1]} values a row, need at least {width}")
     return data
+
+
+# -- the Sobol stream's LMS+shift scramble, from scipy's draws ---------------
+#
+# The two `rng.integers(2, ...)` draws `optimizer._sobol_stream` made before
+# it read the same bits from raw PCG64 words, and scipy's `_cscramble` loop
+# written as one GF(2) matrix-vector product per direction number.  The
+# reference for the (shift, directions) the stream returns, bit for bit.
+
+
+def sobol_scramble_reference(direction_numbers, seed, n_points):
+    """(shift, directions) of ``qmc.Sobol(d, scramble=True, seed=seed)`` up to ``n_points`` points.
+
+    ``direction_numbers`` is the unscrambled uint32 (d, 30) table.  Output
+    bit 29 - p of a scrambled direction number v is the parity of row p of
+    the unit lower-triangular LMS matrix dotted with v's bits, bit 29 - i
+    against column i.  Only the bit_length(n_points - 1) direction numbers
+    the points reach are returned, uint32 (bit_length, d) as the stream has
+    them.
+    """
+    v = np.asarray(direction_numbers)
+    dim, bits = v.shape
+    rng = np.random.default_rng(seed)
+    shift = rng.integers(2, size=(dim, bits), dtype=np.uint32) @ 2 ** np.arange(bits, dtype=np.uint32)
+    ltm = np.tril(rng.integers(2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, np.arange(bits), np.arange(bits)] = 1
+    n_dir = max(n_points - 1, 0).bit_length()
+    msb_first = np.arange(bits - 1, -1, -1)
+    v_bits = (v[:, :n_dir, None].astype(np.int64) >> msb_first) & 1
+    scrambled_bits = np.einsum("dpi,dji->djp", ltm.astype(np.int64), v_bits) & 1
+    directions = (scrambled_bits << msb_first).sum(axis=2).astype(np.uint32)
+    return shift, np.ascontiguousarray(directions.T)

@@ -38,6 +38,8 @@ from vortexlab.ring_model import (
 )
 from vortexlab.wave_dynamics import aligned_initial_state, axis_field
 
+from oracles import sobol_scramble_reference
+
 DESK = RingConfig(J=4, K=6, n_s=64, n_time=32)
 
 
@@ -94,6 +96,34 @@ def test_sample_qmc_dimension_limit():
     assert big.dim > 21201
     with pytest.raises(DimensionTooLarge):
         sample_qmc(big, 1, seed=0)
+
+
+@pytest.mark.parametrize("n, skip, name", [(-1, 0, "n"), (3, -2, "skip")])
+def test_sample_qmc_refuses_a_negative_argument(monkeypatch, space, n, skip, name):
+    # skip=-2 returned three copies of point 0, and n=-1 leaked numpy's
+    # "negative dimensions"; a stream that cannot be built shows nothing is drawn first
+    monkeypatch.setattr(optimizer, "_sobol_stream", None)
+    with pytest.raises(ValueError, match=f"^{name} must be >= 0, got {min(n, skip)}$"):
+        sample_qmc(space, n, seed=0, skip=skip)
+
+
+def test_sample_qmc_holds_each_point_once():
+    # the tensors copy their points; drawing the whole (n, dim) block before
+    # building them peaked at ~2.1x the points' bytes here
+    space = SearchSpace(J=20, K=10, c_max=30.0)
+    n = 2000
+    optimizer._direction_numbers(space.dim)  # the per-process table, outside the measurement
+    tracemalloc.start()
+    try:
+        points = sample_qmc(space, n, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * n * space.dim * 8
+    block = optimizer._draw_qmc(optimizer._sobol_stream(space, 0, n), space, 0, n)
+    assert len(points) == len(block) == n
+    for got, want in zip(points, block):
+        assert np.array_equal(got.c, want.c)
 
 
 def test_qmc_beyond_the_sobol_stream_is_refused(space):
@@ -668,6 +698,22 @@ def test_sobol_sampler_matches_scipy_scramble_bit_for_bit(d):
                 warnings.simplefilter("ignore", UserWarning)
                 want = 2.0 * np.vstack([ref.random(3), ref.random(4)]) - 1.0
             np.testing.assert_array_equal(np.array(got), want, err_msg=f"seed {seed}, skip {skip}")
+
+
+@pytest.mark.parametrize("d", [1, 2, 140, 924])
+def test_sobol_stream_matches_the_integers_scramble(d):
+    # the raw-word draw against the rng.integers draws it replaced, on the
+    # installed numpy and without scipy; 8 and 9 points straddle a fourth
+    # direction number, 1024 is the last count with ten, 10050 the full study's
+    space = types.SimpleNamespace(dim=d)
+    for seed in (0, 3, 99, 2**40 + 1):
+        for n_points in (1, 2, 8, 9, 1024, 10050):
+            got = optimizer._sobol_stream(space, seed, n_points)
+            want = sobol_scramble_reference(optimizer._direction_numbers(d), seed, n_points)
+            assert len(got) == len(want) == 2
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.shape == w.shape
+                np.testing.assert_array_equal(g, w, err_msg=f"seed {seed}, {n_points} points")
 
 
 def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp_path):
