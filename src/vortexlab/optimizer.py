@@ -39,14 +39,14 @@ import importlib.util
 import json
 import operator
 import os
-import struct
+import sys
 from dataclasses import InitVar, asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 import orjson
 
-from . import floattext
+from . import floattext, logscan
 from .madc import madc
 from .ring_model import (
     CoefficientTensor,
@@ -93,10 +93,21 @@ _LMS_WEIGHTS = np.tril(np.broadcast_to(_SOBOL_POW2[::-1, None], (_SOBOL_BITS, _S
 # no longer fit in the cache.
 QMC_STACK = 8
 
-_LOG_FIELDS = ("trial_id", "phase", "score", "madc", "feasible_fraction", "coeffs", "elapsed")
-_NUMERIC_FIELDS = ("score", "madc", "feasible_fraction", "elapsed")
+_LOG_FIELDS = logscan.LOG_FIELDS
 # json.dumps' spelling; one encoder, as passing allow_nan to json.dumps builds one per call
 _LOG_ENCODER = json.JSONEncoder(allow_nan=False)
+
+# Trial logs from this size up are read by two processes (see _parse_log), split
+# at the first line start after this fraction of their bytes.  Split and serial
+# parses of the first 1000-3000 records of a full-scale log (18.7-56 MB), nine
+# alternating fresh-process rounds on a 2-vCPU Xeon, medians in ms (split wins):
+# 109 vs 85 at 18.7 MB (1 of 9), 129 vs 143 at 28 MB (6), 155 vs 178 at 37 MB
+# (7), 171 vs 243 at 47 MB (8), 209 vs 283 at 56 MB (9).  The child's ~40 ms
+# start and the pipe are paid back from ~25 MB on; the threshold leaves a
+# margin for a second CPU that other work slows.
+_SPLIT_MIN_BYTES = 48 << 20
+_SPLIT_FRACTION = 0.5
+_ORJSON_PARENT = os.path.dirname(os.path.dirname(orjson.__file__))
 
 REFINE_SIGMA_INIT_FACTOR = 0.1
 # One success per five trials keeps sigma constant: 2**0.5 * (2**-0.125)**4 = 1
@@ -580,79 +591,151 @@ def evaluate_stack(tensors: list, ring: RingConfig) -> list:
     return [(report.score, report.madc, report.feasible_fraction) for report in reports]
 
 
-def _coeff_array(coeffs, packer: struct.Struct, line_no: int) -> np.ndarray:
-    """A decoded coeffs value as a read-only float64 array, or CorruptTrialLog.
+def _split_offset(fh) -> int | None:
+    """Where the child's tail of the log opened as ``fh`` starts, or None to read it all here.
 
-    ``packer`` is ``struct.Struct(f"={dim}d")``: its ``pack`` converts the
-    list in one C pass, in half the time ``array.array("d")`` takes on a
-    full-scale record.  Of what orjson decodes, a float, int or bool packs
-    (``true`` as 1.0).  A str, ``None``, list or dict among the numbers, a
-    list of another length, or a coeffs value that is no list raises
-    ``struct.error`` or TypeError: unlike numpy's float conversion, pack
-    turns no string into a number and no null into NaN.  The array views
-    the packed ``bytes``, so it is read-only.
+    A log of at least ``_SPLIT_MIN_BYTES`` is split when this process may
+    run on two CPUs (where ``os.sched_getaffinity`` can tell), at the first
+    line start after ``_SPLIT_FRACTION`` of its bytes; a split with nothing
+    after it is none.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    if size < _SPLIT_MIN_BYTES or not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2:
+        return None
+    fh.seek(int(size * _SPLIT_FRACTION))
+    fh.readline()
+    split = fh.tell()
+    fh.seek(0)
+    return split if split < size else None
+
+
+def _lines_before(fh, stop: int):
+    """The lines of ``fh`` from its position up to byte ``stop``, a line start."""
+    pos = fh.tell()
+    while pos < stop:
+        line = fh.readline()
+        pos += len(line)
+        yield line
+
+
+def _start_tail_scan(log_path, split: int, dim: int):
+    """The child scanning the log from byte ``split``, or None if it cannot start.
+
+    ``subprocess`` is imported here, on the first split, so no command pays
+    its ~5 ms import at start.
+    """
+    import subprocess
+
+    try:
+        return subprocess.Popen(
+            [sys.executable, "-I", "-S", logscan.__file__, _ORJSON_PARENT, os.fspath(log_path), str(split), str(dim)],
+            stdin=subprocess.DEVNULL,
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            bufsize=1 << 20,
+        )
+    except OSError:
+        return None
+
+
+def _tail_result(child, dim: int) -> tuple | None:
+    """:func:`logscan.scan`'s result as the child pipes it back, or None if the child failed.
+
+    Each record's coefficients are read as a ``bytes`` of their own, so a
+    record kept alone keeps only its own.  After a refusal they are not
+    read, and the child is left blocked on its pipe for :func:`_stop`.
     """
     try:
-        packed = packer.pack(*coeffs)
-    except (struct.error, TypeError):
-        raise CorruptTrialLog(line_no, f"coeffs is not a list of {packer.size // 8} numbers") from None
-    return np.frombuffer(packed, dtype=np.float64)
+        header = orjson.loads(child.stdout.readline())
+        heads, torn, refusal = header["heads"], header["torn"], header["refusal"]
+        if refusal is not None:
+            return [], [], torn, refusal
+        read, size = child.stdout.read, dim * 8
+        coeffs = [read(size) for _ in heads]
+    except (orjson.JSONDecodeError, KeyError, TypeError, OSError):
+        return None
+    # a read comes short only at the end of the stream, after which all are empty
+    if (coeffs and len(coeffs[-1]) != size) or child.wait() != 0:
+        return None
+    return heads, coeffs, torn, None
+
+
+def _stop(child) -> None:
+    """End the child, killing it if it still runs, and reap it."""
+    if child.poll() is None:
+        child.kill()
+    child.stdout.close()
+    child.wait()
+
+
+def _records(heads: list, coeffs: list) -> list:
+    """The TrialRecords of a scan's heads, each coeffs a read-only float64 view of its bytes."""
+    return [
+        TrialRecord(trial_id, phase, score, value, fraction, np.frombuffer(packed, dtype=np.float64), elapsed)
+        for (trial_id, phase, score, value, fraction, elapsed), packed in zip(heads, coeffs)
+    ]
+
+
+def _refuse(base: int, refusal) -> None:
+    """Raise a scan's refusal as CorruptTrialLog; ``base`` lines precede the scanned ones."""
+    if refusal is not None:
+        raise CorruptTrialLog(base + refusal[0] + 1, refusal[1])
 
 
 def _parse_log(log_path: Path, space: SearchSpace) -> tuple:
     """(records, bytes of an unterminated final line) of a trial log.
 
     A final line without its newline is what a kill mid-write leaves; it is
-    dropped, never parsed.  Every newline-terminated line must be a record:
-    a JSON object with exactly the logged fields in order, an int trial_id
-    equal to its line index, a known phase, numeric score, madc,
-    feasible_fraction and elapsed, and a coeffs list of dim numbers.  Each
-    coeffs list becomes a read-only float64 array through one ``struct``
-    pack (:func:`_coeff_array`), with no Python step per number, and the
-    decoded list is dropped.  A string, ``null``, object or nested list
-    among the coefficients, or a list of other than dim numbers, is refused;
-    a ``true`` or ``false`` among them reads as 1.0 or 0.0.
+    dropped, never parsed.  Every newline-terminated line must be a record
+    by the rules of :func:`vortexlab.logscan.scan`, or CorruptTrialLog names
+    the first line that is not.  Each record's coeffs is a read-only float64
+    view of a ``bytes`` of its own, 8 bytes a coefficient; a ``true`` or
+    ``false`` among them reads as 1.0 or 0.0.
+
+    A log of ``_SPLIT_MIN_BYTES`` or more is read by two processes when two
+    CPUs are available (:func:`_split_offset`): a fresh interpreter runs
+    ``logscan.py`` by file path over the lines from a line start near the
+    middle and pipes back their fields and packed coefficients, while this
+    process scans the lines before it.  The tail's scan cannot know its
+    first line's number, so that line is scanned here again with its real
+    trial_id.  A child that cannot start or that fails has its lines
+    scanned here, and the child is stopped however the parse ends.  Either
+    way the same lines are accepted and refused, with the same line numbers
+    and reasons.
 
     The file is read through a 1 MiB buffer: a full-scale line is ~18.6 KB,
     and through the default 8 KiB buffer reading the lines of a
-    10,000-record log takes 0.22 s instead of 0.04 s.
-
-    Lines are decoded with orjson, several times faster than ``json.loads``
-    on a full-scale record and equal to it bit for bit on finite floats, but
-    stricter: NaN, Infinity, literals that overflow a double (1e400) and
-    invalid UTF-8 are refused.  The written spelling stays the standard
-    library's ``json`` (see :meth:`TrialRecord.to_json_line`), because
-    orjson spells some floats differently (1e-05 as 0.00001) and the log
-    bytes are the contract; orjson writes coefficient text only where its
-    spelling is the same.
+    10,000-record log takes 0.22 s instead of 0.04 s.  The written spelling
+    stays the standard library's ``json`` (see
+    :meth:`TrialRecord.to_json_line`), because orjson spells some floats
+    differently (1e-05 as 0.00001) and the log bytes are the contract;
+    orjson writes coefficient text only where its spelling is the same.
     """
-    history = []
-    torn = 0
-    packer = struct.Struct(f"={space.dim}d")
+    dim = space.dim
     with open(log_path, "rb", buffering=1 << 20) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            if not line.endswith(b"\n"):
-                torn = len(line)
-                break
-            if line.isspace():
-                raise CorruptTrialLog(line_no, "blank line")
-            try:
-                raw = orjson.loads(line)
-            except orjson.JSONDecodeError as exc:
-                raise CorruptTrialLog(line_no, f"invalid JSON ({exc.msg})") from exc
-            if type(raw) is not dict:
-                raise CorruptTrialLog(line_no, f"not a JSON object: {type(raw).__name__}")
-            if tuple(raw.keys()) != _LOG_FIELDS:
-                raise CorruptTrialLog(line_no, f"unexpected fields {sorted(raw)}")
-            if type(raw["trial_id"]) is not int or raw["trial_id"] != line_no - 1:
-                raise CorruptTrialLog(line_no, f"trial_id {raw['trial_id']!r} is not {line_no - 1}")
-            if raw["phase"] not in ("qmc", "refine"):
-                raise CorruptTrialLog(line_no, f"unknown phase {raw['phase']!r}")
-            for name in _NUMERIC_FIELDS:
-                if type(raw[name]) not in (int, float):
-                    raise CorruptTrialLog(line_no, f"{name} {raw[name]!r} is not a number")
-            raw["coeffs"] = _coeff_array(raw["coeffs"], packer, line_no)
-            history.append(TrialRecord(**raw))
+        split = _split_offset(fh)
+        child = None if split is None else _start_tail_scan(log_path, split, dim)
+        try:
+            heads, coeffs, torn, refusal = logscan.scan(
+                fh if split is None else _lines_before(fh, split), dim, 0
+            )
+            _refuse(0, refusal)
+            history = _records(heads, coeffs)
+            if split is not None:
+                base = len(history)
+                # the child takes its first line's trial_id as given; that line is checked here
+                *_, refusal = logscan.scan([fh.readline()], dim, base)
+                _refuse(base, refusal)
+                tail = None if child is None else _tail_result(child, dim)
+                if tail is None:
+                    fh.seek(split)
+                    tail = logscan.scan(fh, dim, base)
+                heads, coeffs, torn, refusal = tail
+                _refuse(base, refusal)
+                history += _records(heads, coeffs)
+        finally:
+            if child is not None:
+                _stop(child)
     return history, torn
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vortexlab.cli as cli
+import vortexlab.optimizer as optimizer
 import vortexlab.verify as verify
 from vortexlab import floattext
 from vortexlab.cli import ConfigError, load_configs, main
@@ -434,6 +435,23 @@ def test_optimize_corrupt_log_exits_4(tmp_path, desk_config_path, capsys):
         )
         assert code == 4
         assert "line 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+def test_optimize_log_longer_than_the_budget_exits_4_and_keeps_it(
+    tmp_path, desk_config_path, capsys, monkeypatch, split
+):
+    study = tmp_path / "study.jsonl"
+    args = ["optimize", "--config", str(desk_config_path), "--study", str(study)]
+    assert main(args + ["--trials-qmc", "5", "--trials-refine", "1"]) == 0
+    before = study.read_bytes()
+    capsys.readouterr()
+    # the log is read by one process, or split between two
+    monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
+    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1})
+    assert main(args + ["--trials-qmc", "4", "--trials-refine", "0"]) == 4
+    assert "trial log line 6: log longer than the study budget" in capsys.readouterr().err
+    assert study.read_bytes() == before
 
 
 def test_optimize_qmc_budget_beyond_the_sobol_stream_exits_2(tmp_path, desk_config_path, capsys):
@@ -874,6 +892,7 @@ def test_grid_csv_bytes_match_csv_writer_reference(tmp_path, case):
 SCIPY_PROBE = """
 import json, sys
 import vortexlab.cli as cli
+import vortexlab.optimizer as optimizer
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")

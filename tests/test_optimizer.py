@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import subprocess
 import sys
 import tracemalloc
 import types
@@ -542,6 +543,240 @@ def test_parse_reads_every_accepted_coefficient_spelling_exactly(space, tmp_path
     got = history[0].coeffs[:n]
     assert got.dtype == np.float64
     assert got.view(np.uint64).tolist() == np.array(expected).view(np.uint64).tolist()
+
+
+def parse_outcome(log, space):
+    """_parse_log's (records, torn), or its refusal as (line_no, message)."""
+    try:
+        return optimizer._parse_log(log, space)
+    except CorruptTrialLog as exc:
+        return exc.line_no, str(exc)
+
+
+def assert_same_outcome(got, want):
+    if isinstance(want[0], int):
+        assert got == want
+    else:
+        assert_records_bitwise_equal(got[0], want[0])
+        assert got[1] == want[1]
+
+
+class SplitReader:
+    """_parse_log with the two-process split forced on small logs.
+
+    Records the children it starts and what each piped back (None where it
+    failed and its lines were scanned in-process).
+    """
+
+    def __init__(self, monkeypatch):
+        self.monkeypatch = monkeypatch
+        self.children, self.tails = [], []
+        popen, tail_result = subprocess.Popen, optimizer._tail_result
+
+        def spawn(*args, **kwargs):
+            self.children.append(popen(*args, **kwargs))
+            return self.children[-1]
+
+        def tail(child, dim):
+            self.tails.append(tail_result(child, dim))
+            return self.tails[-1]
+
+        monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(subprocess, "Popen", spawn)
+        monkeypatch.setattr(optimizer, "_tail_result", tail)
+
+    def parse(self, log, space, at_line=None):
+        """The split parse; with ``at_line``, the child's lines start at that (1-based) line."""
+        self.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0)
+        if at_line is not None:
+            data = log.read_bytes()
+            start = sum(len(line) for line in data.splitlines(keepends=True)[: at_line - 1])
+            # the split is the first line start after this offset: the previous line's last bytes
+            self.monkeypatch.setattr(optimizer, "_SPLIT_FRACTION", (start - 1) / len(data))
+            with open(log, "rb") as fh:
+                assert optimizer._split_offset(fh) == start
+        return parse_outcome(log, space)
+
+    def serial(self, log, space):
+        self.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 1 << 62)
+        return parse_outcome(log, space)
+
+    def assert_all_stopped(self):
+        assert self.children and all(child.poll() is not None for child in self.children)
+
+
+@pytest.fixture
+def split_reader(monkeypatch):
+    return SplitReader(monkeypatch)
+
+
+def full_scale_log(path, n, seed=11):
+    """A log of n records with random full-scale coefficients (dim 924); returns its space."""
+    space = SearchSpace(J=20, K=10, c_max=30.0)
+    rng = np.random.default_rng(seed)
+    with open(path, "w") as fh:
+        for i in range(n):
+            coeffs = rng.uniform(-space.c_max, space.c_max, space.dim).tolist()
+            fh.write(make_record(i, 0.5, coeffs).to_json_line() + "\n")
+    return space
+
+
+def test_split_parse_reads_the_serial_history(tiny_ring, tmp_path, split_reader):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=3, seed=42), tiny_ring, log)
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    assert len(serial[0]) == 9
+    for at_line in [None, *range(2, 10)]:
+        history, torn = split_reader.parse(log, space, at_line)
+        assert_same_outcome((history, torn), serial)
+        assert split_reader.tails[-1] is not None  # the child's lines, not an in-process fallback
+        for rec in history:
+            assert rec.coeffs.dtype == np.float64 and not rec.coeffs.flags.writeable
+            with pytest.raises(ValueError):
+                rec.coeffs.flags.writeable = True
+    assert len(split_reader.children) == 9
+    split_reader.assert_all_stopped()
+
+
+def test_split_parse_reads_a_full_scale_log_as_read_only_float64(tmp_path, split_reader):
+    log = tmp_path / "log.jsonl"
+    space = full_scale_log(log, 40)
+    serial = split_reader.serial(log, space)
+    history, torn = split_reader.parse(log, space)
+    assert_same_outcome((history, torn), serial)
+    assert split_reader.tails == [split_reader.tails[0]] and split_reader.tails[0] is not None
+    assert 0 < len(split_reader.tails[0][0]) < 40
+    for rec in history:
+        assert rec.coeffs.dtype == np.float64 and rec.coeffs.shape == (space.dim,)
+        with pytest.raises(ValueError):
+            rec.coeffs[0] = 0.0
+        with pytest.raises(ValueError):
+            rec.coeffs.flags.writeable = True
+        # a record kept alone (a study's best) keeps only its own coefficients alive
+        assert type(rec.coeffs.base) is bytes and len(rec.coeffs.base) == space.dim * 8
+
+
+SPLIT_MALFORMED_LINES = {
+    **{name: bad for name, (_, bad) in MALFORMED_LINES.items()},
+    # equal to the line's index as a number, which the child cannot check on its first line
+    "trial_id its index as a float": lambda rec: with_field_text("trial_id", b"%d.0" % rec["trial_id"])(rec),
+    "trial_id its index plus one": lambda rec: with_field_text("trial_id", b"%d" % (rec["trial_id"] + 1))(rec),
+}
+
+
+@pytest.mark.parametrize("where", ["child's first line", "inside the child's lines"])
+@pytest.mark.parametrize("bad", SPLIT_MALFORMED_LINES.values(), ids=list(SPLIT_MALFORMED_LINES))
+def test_split_parse_refuses_every_malformed_line_as_serial(tiny_ring, tmp_path, split_reader, bad, where):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=0, seed=2), tiny_ring, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[3] = bad(json.loads(lines[3])) + b"\n"
+    log.write_bytes(b"".join(lines))
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    assert serial[0] == 4
+    got = split_reader.parse(log, space, at_line=4 if where == "child's first line" else 3)
+    assert got == serial
+    if where == "inside the child's lines":
+        assert split_reader.tails[-1] is not None  # refused by the child, not by a fallback scan
+    split_reader.assert_all_stopped()
+
+
+@pytest.mark.parametrize("edit", ["dropped", "repeated"])
+def test_split_parse_refuses_a_trial_id_skip_across_the_split(tiny_ring, tmp_path, split_reader, edit):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=0, seed=2), tiny_ring, log)
+    lines = log.read_bytes().splitlines(keepends=True)
+    # line 4 holds trial 4 (trial 3 dropped) or trial 2 (repeated); the child's ids run on from it
+    lines = lines[:3] + lines[4:] if edit == "dropped" else lines[:3] + lines[2:]
+    log.write_bytes(b"".join(lines))
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    assert serial[0] == 4 and "is not 3" in serial[1]
+    assert split_reader.parse(log, space, at_line=4) == serial
+    assert split_reader.parse(log, space, at_line=3) == serial
+    split_reader.assert_all_stopped()
+
+
+def test_split_parse_drops_a_torn_final_record_as_serial(tiny_ring, tmp_path, split_reader):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=0, seed=2), tiny_ring, log)
+    whole = log.read_bytes()
+    last = len(whole.splitlines(keepends=True)[-1])
+    space = SearchSpace.from_ring_config(tiny_ring)
+    for cut in (1, 2, last // 2, last - 1):
+        log.write_bytes(whole[: len(whole) - last + cut])
+        serial = split_reader.serial(log, space)
+        assert len(serial[0]) == 5 and serial[1] == cut
+        for at_line in (4, 6):  # the torn line among the child's, or its only one
+            assert_same_outcome(split_reader.parse(log, space, at_line), serial)
+    split_reader.assert_all_stopped()
+
+
+def test_split_parse_scans_in_process_when_the_child_cannot_start(tiny_ring, tmp_path, split_reader, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=3, seed=42), tiny_ring, log)
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    monkeypatch.setattr(sys, "executable", str(tmp_path / "no-such-python"))
+    assert_same_outcome(split_reader.parse(log, space, at_line=5), serial)
+    assert split_reader.children == [] and split_reader.tails == []
+
+
+def test_split_parse_scans_in_process_when_the_child_fails(tiny_ring, tmp_path, split_reader, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=3, seed=42), tiny_ring, log)
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    failing = tmp_path / "failing-python"
+    failing.write_text("#!/bin/sh\necho '{\"heads\": [[5' \nexit 3\n")
+    failing.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(failing))
+    assert_same_outcome(split_reader.parse(log, space, at_line=5), serial)
+    assert split_reader.tails == [None]
+    split_reader.assert_all_stopped()
+
+
+@pytest.mark.parametrize("bad_line", [10, 30])
+def test_split_parse_stops_its_child_after_a_refusal(tmp_path, split_reader, bad_line):
+    log = tmp_path / "log.jsonl"
+    space = full_scale_log(log, 40)
+    lines = log.read_bytes().splitlines(keepends=True)
+    lines[bad_line - 1] = b"[1, 2]\n"
+    log.write_bytes(b"".join(lines))
+    assert split_reader.parse(log, space, at_line=20) == (bad_line, f"trial log line {bad_line}: not a JSON object: list")
+    split_reader.assert_all_stopped()
+
+
+def test_split_parse_stops_its_child_after_an_exception(tmp_path, split_reader, monkeypatch):
+    log = tmp_path / "log.jsonl"
+    space = full_scale_log(log, 40)
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    # raised in this process after its own lines, while the child scans or writes ~150 KB
+    monkeypatch.setattr(optimizer, "_records", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        split_reader.parse(log, space, at_line=20)
+    split_reader.assert_all_stopped()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["serial", "split"])
+@pytest.mark.parametrize("torn", [False, True], ids=["whole", "torn"])
+def test_log_longer_than_the_budget_is_refused_and_kept(tiny_ring, tmp_path, split_reader, split, torn):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=0, seed=2), tiny_ring, log)
+    if torn:
+        log.write_bytes(log.read_bytes() + b'{"trial_id": 6, "pha')
+    before = log.read_bytes()
+    split_reader.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
+    with pytest.raises(CorruptTrialLog) as err:
+        run_study(StudyConfig(n_qmc=4, n_refine=1, seed=2), tiny_ring, log)
+    assert err.value.line_no == 6 and str(err.value) == "trial log line 6: log longer than the study budget"
+    assert log.read_bytes() == before
+    assert len(split_reader.children) == split
 
 
 def test_study_config_validation():
