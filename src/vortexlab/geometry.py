@@ -9,8 +9,9 @@ form derivatives are supplied by the caller (see :mod:`vortexlab.ring_model`).
 are numpy arrays with a trailing axis of length 3 (a single point is a shape
 ``(3,)`` array, a batch of N points ``(N, 3)``), and scalar outputs follow the
 leading shape of the inputs; the tests hold the trial path to it.
-``_speed_curvature`` and ``_meridional_frame`` are the trial path's kernels,
-on the scalar components of trajectories in one meridional half-plane.
+``_speed_curvature``, ``_speed_rate`` and ``_meridional_frame`` are the trial
+path's kernels, on the scalar components of trajectories in one meridional
+half-plane.
 """
 
 from __future__ import annotations
@@ -205,21 +206,21 @@ def frame_from_derivatives(
 
 
 def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V, out=None) -> tuple:
-    """(v, v', W, kappa, stationary) from the e_r (a) and e_z (b) components of d1 and d2.
+    """(v, W, kappa, stationary) from the e_r (a) and e_z (b) components of d1 and d2.
 
     With ``W = a1 b2 - b1 a2``, ``d1 x d2 = -W e_theta``, so
     ``kappa = |W| / v^3`` and the torsion is exactly 0.  ``stationary``
     marks the points with v <= eps_v, where the kinematics are undefined:
     there v and v^2 read 1, so nothing divides by zero, and the trial path
     makes every column of a trial with such a point infeasible.  ``out``, a
-    float array of shape ``(5,) + a1.shape`` (allocated if not given),
-    receives v, v', W, kappa and v^2, in that order; the first four are
-    views of it.
+    float array of shape ``(4,) + a1.shape`` (allocated if not given),
+    receives v, W, kappa and v^2, in that order; the first three are
+    views of it.  v' is :func:`_speed_rate`.
     """
     if out is None:
-        out = np.empty((5,) + np.shape(a1))
-    v, v_t, w, kappa, v_sq = out
-    # v_t and kappa hold products until their own values are formed
+        out = np.empty((4,) + np.shape(a1))
+    v, w, kappa, v_sq = out
+    # kappa holds products until its own value is formed
     np.multiply(a1, a1, out=v_sq)
     v_sq += np.multiply(b1, b1, out=kappa)
     np.sqrt(v_sq, out=v)
@@ -227,15 +228,17 @@ def _speed_curvature(a1, a2, b1, b2, eps_v: float = DEFAULT_EPS_V, out=None) -> 
     if stationary.any():
         np.copyto(v, 1.0, where=stationary)
         np.copyto(v_sq, 1.0, where=stationary)
-    np.multiply(a1, a2, out=v_t)
-    v_t += np.multiply(b1, b2, out=kappa)
-    v_t /= v
     np.multiply(a1, b2, out=w)
     w -= np.multiply(b1, a2, out=kappa)
     np.abs(w, out=kappa)
     kappa /= v_sq
     kappa /= v
-    return v, v_t, w, kappa, stationary
+    return v, w, kappa, stationary
+
+
+def _speed_rate(a1, a2, b1, b2, v, out=None) -> np.ndarray:
+    """v' = (d1 . d2) / v from the components of :func:`_speed_curvature` and its v."""
+    return np.divide(a1 * a2 + b1 * b2, v, out=out)
 
 
 def _meridional_frame(a1, b1, v, w, kappa, azimuth, eps_kappa: float = DEFAULT_EPS_KAPPA, out=None):

@@ -17,7 +17,7 @@ import numpy as np
 from .ring_model import RingConfig
 from .wave_dynamics import AxisField
 
-__all__ = ["DimensionMismatch", "MadcReport", "madc"]
+__all__ = ["DimensionMismatch", "MadcReport", "madc", "stack_madc"]
 
 
 class DimensionMismatch(ValueError):
@@ -59,11 +59,29 @@ def _trapezoid_weights(n_nodes: int) -> np.ndarray:
     return w / (n_nodes - 1)
 
 
+def stack_madc(corr: np.ndarray, feasible: np.ndarray) -> list:
+    """(madc, feasible_fraction, per-time mean) of each trial of a stacked (n_nodes, B, n_s) corr.
+
+    A trial with no ``feasible`` column reads 0 throughout.  For
+    bit-reproducibility each node's sum adds the trial's feasible columns
+    one at a time in ascending order, whatever the stack.
+    """
+    n_nodes, size, n_s = corr.shape
+    # the s axis outermost, so numpy's sum along it adds one column at a time (along
+    # a contiguous axis it would sum pairwise); 0 on an infeasible column adds nothing
+    abs_corr = np.abs(corr.transpose(2, 1, 0), out=np.empty((n_s, size, n_nodes)))
+    np.copyto(abs_corr, 0.0, where=~feasible.T[:, :, None])
+    n_feasible = np.count_nonzero(feasible, axis=1)
+    means = np.add.reduce(abs_corr, axis=0) / np.maximum(n_feasible, 1)[:, None]
+    w_t = _trapezoid_weights(n_nodes)
+    return [(float(w_t @ mean), n / n_s, mean) for mean, n in zip(means, n_feasible.tolist())]
+
+
 def madc(field: AxisField, cfg: RingConfig) -> MadcReport:
     """Quadrature of |corr| over the (t, s) grid, feasible columns only.
 
     Returns madc = 0 with feasible_fraction = 0 when no column is feasible.
-    Reduction order is fixed (ascending indices) for bit-reproducibility.
+    The value is :func:`stack_madc`'s, the reduction trials are scored with.
     """
     n_nodes = cfg.n_time + 1
     if field.corr.shape != (n_nodes, cfg.n_s) or field.feasible.shape != (cfg.n_s,):
@@ -72,24 +90,9 @@ def madc(field: AxisField, cfg: RingConfig) -> MadcReport:
             f"({n_nodes}, {cfg.n_s})"
         )
 
-    feasible = field.feasible
-    n_feasible = int(np.count_nonzero(feasible))
-    feasible_fraction = n_feasible / cfg.n_s
-    w_t = _trapezoid_weights(n_nodes)
-
-    if n_feasible == 0:
-        return MadcReport(
-            madc=0.0,
-            feasible_fraction=0.0,
-            per_time_mean=np.zeros(n_nodes),
-            per_s_mean=np.full(cfg.n_s, np.nan),
-        )
-
-    abs_corr = np.abs(field.corr[:, feasible])
-    per_time_mean = abs_corr.mean(axis=1)
+    ((value, feasible_fraction, per_time_mean),) = stack_madc(field.corr[:, None], field.feasible[None])
     per_s_mean = np.full(cfg.n_s, np.nan)
-    per_s_mean[feasible] = w_t @ abs_corr
-    value = float(w_t @ per_time_mean)
+    per_s_mean[field.feasible] = _trapezoid_weights(n_nodes) @ np.abs(field.corr[:, field.feasible])
     return MadcReport(
         madc=value,
         feasible_fraction=feasible_fraction,

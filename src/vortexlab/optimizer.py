@@ -25,11 +25,11 @@ a ``structured`` study starts without scipy.
 
 QMC trials are evaluated in stacks of ``QMC_STACK`` through one stacked
 kernel (:func:`evaluate_stack`), refine trials one at a time
-(:func:`evaluate_tensor`); both give the same score for a tensor, bit for
-bit.  Every trial is appended to a JSON-lines log in trial order, so a
-killed study resumes from the log and reproduces the exact trial stream it
-would have run uninterrupted: a study's log is byte-identical across runs
-and across kill/resume.
+(:func:`evaluate_tensor`, a stack of one); both give the same score for a
+tensor, bit for bit.  Every trial is appended to a JSON-lines log in trial
+order, so a killed study resumes from the log and reproduces the exact trial
+stream it would have run uninterrupted: a study's log is byte-identical
+across runs and across kill/resume.
 """
 
 from __future__ import annotations
@@ -47,7 +47,8 @@ import numpy as np
 import orjson
 
 from . import floattext, logscan
-from .madc import madc
+# madc and axis_field stay module attributes, though no trial calls them: perfbench/tracer.py patches both
+from .madc import madc, stack_madc  # noqa: F401
 from .ring_model import (
     CoefficientTensor,
     RingConfig,
@@ -56,7 +57,7 @@ from .ring_model import (
     radius_profile_deriv,
     transport_gamma,
 )
-from .wave_dynamics import _axis_fields, _rate_stencil, aligned_initial_state, axis_field
+from .wave_dynamics import _axis_fields, _rate_stencil, aligned_initial_state, axis_field  # noqa: F401
 
 __all__ = [
     "DimensionTooLarge",
@@ -86,11 +87,12 @@ _LMS_WEIGHTS = np.tril(np.broadcast_to(_SOBOL_POW2[::-1, None], (_SOBOL_BITS, _S
 
 # QMC trials evaluated per kernel call.  Per-trial cost at stack sizes
 # 1/2/4/8/16/32/64 on a 2-vCPU Xeon, each size in a fresh process (medians of
-# five passes over 64 Sobol tensors): 0.65/0.46/0.38/0.36/0.33/0.41/0.40 ms at
-# the desk shape and 0.98/0.83/0.65/0.58/0.63/0.68/0.76 ms at full scale, with
-# at most one minor page fault per call at any size (0.2 at 8).  16 gains
-# little at the desk shape and loses at full scale, where larger stacks' arrays
-# no longer fit in the cache.
+# five passes over 64 Sobol tensors, two rounds): 0.31/0.21/0.18-0.19/0.19/
+# 0.16-0.17/0.19-0.21/0.22 ms at the desk shape and 0.55-0.57/0.45-0.47/
+# 0.41-0.43/0.37/0.40-0.43/0.47-0.49/0.50-0.51 ms at full scale, with at most
+# 0.05 minor page faults per call at any size.  16 gains ~10% at the desk
+# shape and loses ~10% at full scale, where larger stacks' arrays no longer fit
+# in the cache.
 QMC_STACK = 8
 
 _LOG_FIELDS = logscan.LOG_FIELDS
@@ -569,26 +571,25 @@ def propose_refinements(history: list, study: StudyConfig, ring: RingConfig) -> 
 
 
 def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
-    """(score, madc, feasible_fraction) for one coefficient tensor.
+    """(score, madc, feasible_fraction) for one coefficient tensor: a stack of one.
 
     A zero-speed trajectory anywhere on the evaluation grid leaves no column
     feasible, so the trial reads (0.0, 0.0, 0.0).
     """
-    report = madc(axis_field(tensor, ring), ring)
-    return report.score, report.madc, report.feasible_fraction
+    return evaluate_stack([tensor], ring)[0]
 
 
 def evaluate_stack(tensors: list, ring: RingConfig) -> list:
-    """:func:`evaluate_tensor` of each tensor, in one evaluation of the stack.
+    """(score, madc, feasible_fraction) of each tensor, in one evaluation of the stack.
 
-    The scores equal the one-at-a-time ones bit for bit: the stacked kernel
-    sums each trial's terms in the same order whatever the stack, and each
-    trial's MADC is its own call.  A stationary point closes the columns of
-    its own trial only, which reads (0.0, 0.0, 0.0).
+    The scores equal :func:`madc`'s report on each tensor's
+    :func:`axis_field` bit for bit: the stacked kernel sums each trial's terms
+    in the same order whatever the stack, and the report's value is
+    :func:`stack_madc`'s.  A stationary point closes the columns of its own
+    trial only, which reads (0.0, 0.0, 0.0).
     """
     field = _axis_fields(np.stack([tensor.c for tensor in tensors]), ring)
-    reports = [madc(field.trial(b), ring) for b in range(len(tensors))]
-    return [(report.score, report.madc, report.feasible_fraction) for report in reports]
+    return [(value * share, value, share) for value, share, _ in stack_madc(field.corr, field.feasible)]
 
 
 def _split_offset(fh) -> int | None:

@@ -37,6 +37,7 @@ from .geometry import (
     TrajectoryKinematics,
     _meridional_frame,
     _speed_curvature,
+    _speed_rate,
     frame_from_derivatives,
 )
 
@@ -399,8 +400,10 @@ def kinematics_at(t, s, c: CoefficientTensor, cfg: RingConfig) -> TrajectoryKine
 class _RowGrid:
     """The coefficient-free part of Phi on ``times`` x ``cfg.s_grid`` (read-only arrays).
 
-    ``pows`` stacks the order-1 and order-2 time powers of every row over
-    the order-0 powers of ``tangent_rows``; ``basis`` stacks the Fourier
+    The tangent rows, which get a frame and a ring tangent, are the leading
+    ``len(radius)``; v' is formed on ``rate_rows`` only.  ``pows`` stacks the
+    order-1 and order-2 time powers of every row over the order-0 powers of
+    the tangent rows; ``basis`` stacks the Fourier
     basis over its s-derivative, over K+1; ``transport`` is (Gamma',
     Gamma'') per row, and ``radius`` is R + Gamma on the tangent rows.  Both
     carry a unit trial axis after the row axis (``transport`` a unit s axis
@@ -410,7 +413,7 @@ class _RowGrid:
     (:meth:`buffer`), so one evaluation at a time may run on it.
     """
 
-    tangent_rows: np.ndarray
+    rate_rows: np.ndarray
     pows: np.ndarray
     basis: np.ndarray
     transport: np.ndarray
@@ -419,15 +422,15 @@ class _RowGrid:
     azimuth: np.ndarray
 
     @classmethod
-    def build(cls, times: np.ndarray, tangent_rows: np.ndarray, cfg: RingConfig) -> "_RowGrid":
+    def build(cls, times: np.ndarray, n_tangent: int, rate_rows, cfg: RingConfig) -> "_RowGrid":
         pows = _time_power_table(times - cfg.t0, cfg.J)
         gamma, gamma_t, gamma_tt, _ = transport_gamma(times[:, None, None])
         grid = cls(
-            tangent_rows,
-            np.concatenate([pows[1], pows[2], pows[0, tangent_rows]]),
+            np.array(rate_rows),
+            np.concatenate([pows[1], pows[2], pows[0, :n_tangent]]),
             np.stack(_fourier_basis(cfg.s_grid, cfg.K)) / (cfg.K + 1.0),
             np.stack([gamma_t, gamma_tt]),
-            radius_profile(cfg.s_grid, cfg.delta) + gamma[tangent_rows],
+            radius_profile(cfg.s_grid, cfg.delta) + gamma[:n_tangent],
             radius_profile_deriv(cfg.s_grid, cfg.delta),
             _azimuth(cfg.s_grid),
         )
@@ -456,21 +459,22 @@ class _RowGrid:
     def evaluate(self, c: np.ndarray, cfg: RingConfig) -> tuple:
         """Kinematics, frame and ring tangent of a stack of coefficient arrays.
 
-        ``c`` has shape (B, 2, 2, J+1, K+1).  Returns (v, v', kappa, v^2) on
-        every row, the MeridionalFrame and the unit ring tangent on the
-        tangent rows, each array shaped (rows, B, n_s), and the (B,) mask
-        of trials with a zero speed (v <= eps_v) on some row, whose other
-        outputs are finite but meaningless: the aligned start makes every
-        column of such a trial infeasible.  The tangent is given by its
-        components along (tau, n, b), NaN where dPhi/ds vanishes.  The
-        arrays are the grid's buffers (:meth:`buffer`).
+        ``c`` has shape (B, 2, 2, J+1, K+1).  Returns (v, v', kappa, v^2),
+        v' on ``rate_rows`` and the others on every row, the
+        MeridionalFrame and the unit ring tangent on the tangent rows, each
+        array shaped (rows, B, n_s), and the (B,) mask of trials with a
+        zero speed (v <= eps_v) on some row, whose other outputs are finite
+        but meaningless: the aligned start makes every column of such a
+        trial infeasible.  The tangent is given by its components along
+        (tau, n, b), NaN where dPhi/ds vanishes.  The arrays are the grid's
+        buffers (:meth:`buffer`).
 
         Two matrix products: the coefficients against the basis gives each
         power of (t - t0) as a function of s, and the time-power table
         against that gives the rows.  Each output element is a sum over one
         trial's coefficients only, in an order that does not depend on B.
         """
-        n, n_tan, n_s, size = self.transport.shape[1], len(self.tangent_rows), cfg.n_s, len(c)
+        n, n_tan, n_s, size = self.transport.shape[1], len(self.radius), cfg.n_s, len(c)
         buffer = self.buffer
         # rows (gamma1/gamma2, j, trial) by columns (sine/cosine, k)
         coeffs = c.transpose(1, 3, 0, 2, 4).reshape(-1, self.basis.shape[1])
@@ -481,15 +485,12 @@ class _RowGrid:
         (a1, a2, g1), (b1, b2, _) = ((x[:n], x[n : 2 * n], x[2 * n :]) for x in values)
         a1 += self.transport[0]
         a2 += self.transport[1]
-        speed = buffer("speed", (5, n, size, n_s))
-        v, v_t, w, kappa, stationary = _speed_curvature(a1, a2, b1, b2, cfg.eps_v, out=speed)
-        v_sq = speed[4]
-        on_rows = buffer("on_rows", (5, n_tan, size, n_s))
-        for x, out in zip((a1, b1, v, w, kappa), on_rows):
-            # mode="clip" writes straight into out, where the default mode buffers
-            np.take(x, self.tangent_rows, axis=0, out=out, mode="clip")
+        speed = buffer("speed", (4, n, size, n_s))
+        v, w, kappa, stationary = _speed_curvature(a1, a2, b1, b2, cfg.eps_v, out=speed)
+        rows = self.rate_rows
+        v_t = _speed_rate(a1[rows], a2[rows], b1[rows], b2[rows], v[rows], out=buffer("v_t", (len(rows), size, n_s)))
         frame = buffer("frame", (4, n_tan, size, n_s))
-        frame = _meridional_frame(*on_rows, self.azimuth, cfg.eps_kappa, out=frame)
+        frame = _meridional_frame(*(x[:n_tan] for x in (a1, b1, v, w, kappa)), self.azimuth, cfg.eps_kappa, out=frame)
 
         # dPhi/ds = r e_r + theta e_theta + z e_z on the tangent rows
         slopes = buffer("slopes", (2, n_tan, size, n_s))
@@ -518,4 +519,4 @@ class _RowGrid:
         along_tau += np.multiply(frame.tau_z, z, out=scratch)
         for x in tangent:
             x /= norm
-        return (v, v_t, kappa, v_sq), frame, tuple(tangent), stationary.any(axis=(0, 2))
+        return (v, v_t, kappa, speed[3]), frame, tuple(tangent), stationary.any(axis=(0, 2))

@@ -104,33 +104,16 @@ class AxisField:
     tangent: tuple
 
     def trial(self, b: int) -> "AxisField":
-        """Trial ``b`` of a stacked field, whose arrays carry a trial axis after the time axis.
-
-        The trial's arrays are views of the stacked field's.
-        """
-        return AxisField(
-            t_nodes=self.t_nodes,
-            s_grid=self.s_grid,
-            corr=self.corr[:, b],
-            feasible=self.feasible[b],
-            frame=self.frame[:, b],
-            alpha1=self.alpha1[:, b],
-            alpha2=self.alpha2[:, b],
-            tangent=tuple(x[:, b] for x in self.tangent),
-        )
-
-    def copy(self) -> "AxisField":
-        """The field with arrays of its own."""
-        frame = self.frame
+        """Trial ``b`` of a stacked field (a trial axis after the time axis), in arrays of its own."""
         return AxisField(
             t_nodes=self.t_nodes.copy(),
             s_grid=self.s_grid.copy(),
-            corr=self.corr.copy(),
-            feasible=self.feasible.copy(),
-            frame=MeridionalFrame(*(x.copy() for x in (frame.tau_r, frame.tau_z, frame.n_m, frame.n_w))),
-            alpha1=self.alpha1.copy(),
-            alpha2=self.alpha2.copy(),
-            tangent=tuple(x.copy() for x in self.tangent),
+            corr=self.corr[:, b].copy(),
+            feasible=self.feasible[b].copy(),
+            frame=MeridionalFrame(*(x[:, b].copy() for x in vars(self.frame).values())),
+            alpha1=self.alpha1[:, b].copy(),
+            alpha2=self.alpha2[:, b].copy(),
+            tangent=tuple(x[:, b].copy() for x in self.tangent),
         )
 
     @property
@@ -247,17 +230,19 @@ def _rate_stencil(cfg: RingConfig) -> np.ndarray:
 
 @functools.lru_cache(maxsize=16)
 def _trial_grid(cfg: RingConfig) -> _RowGrid:
-    """:func:`axis_field`'s rows: t0 -+ fd_step, then the half-step rows of ``_rk4_abscissae``.
+    """:func:`axis_field`'s rows: t0 -+ fd_step, the n_time + 1 nodes, then the n_time midpoints.
 
-    The first two rows are the outer ``_rate_stencil`` times; only they and
-    the even (node) rows carry the ring tangent.
+    Rows 0-1 are the outer ``_rate_stencil`` times, then ``_rk4_abscissae``'s,
+    so row 2 is t0, the one row with v' (the rate :func:`_propagate` reads).
+    The leading rows up to the last node carry the ring tangent.
     """
-    times = np.concatenate([_rate_stencil(cfg)[::2], _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)])
-    return _RowGrid.build(times, np.r_[0, 1, 2 : len(times) : 2], cfg)
+    rk4 = _rk4_abscissae(cfg.t0, cfg.t1, cfg.n_time)
+    times = np.concatenate([_rate_stencil(cfg)[::2], rk4[::2], rk4[1::2]])
+    return _RowGrid.build(times, cfg.n_time + 3, [2], cfg)
 
 
-def _aligned_start(tangent: tuple, stationary: np.ndarray, cfg: RingConfig, rows):
-    """(AlphaState at t0, feasibility mask) from the grid rows at (t0 - h, t0, t0 + h).
+def _aligned_start(tangent: tuple, stationary: np.ndarray, cfg: RingConfig):
+    """(AlphaState at t0, feasibility mask) from the grid rows 0, 2 and 1, at (t0 - h, t0, t0 + h).
 
     ``tangent`` holds the unit ring tangent's frame components, rows first;
     the outputs drop the row axis.  The rates
@@ -266,7 +251,7 @@ def _aligned_start(tangent: tuple, stationary: np.ndarray, cfg: RingConfig, rows
     ``stationary`` (the (B,) mask of ``_RowGrid.evaluate``), and
     infeasible columns carry NaN.
     """
-    a1, a2, aligned = _alignment(*(x[rows] for x in tangent), cfg.eps_align)
+    a1, a2, aligned = _alignment(*(x[[0, 2, 1]] for x in tangent), cfg.eps_align)
     feasible = np.all(aligned, axis=0) & ~stationary[:, None]
     h = cfg.fd_step
     init = AlphaState(
@@ -280,11 +265,15 @@ def _aligned_start(tangent: tuple, stationary: np.ndarray, cfg: RingConfig, rows
 
 
 def _cumulative_simpson(f: np.ndarray, width, out: np.ndarray) -> np.ndarray:
-    """Integral of f from row 0 to each even row, rows in (lo, mid, hi) panels of ``width``, into ``out``."""
+    """Integral of f from the first node to each, into ``out``: f's rows are the nodes, then the panels' midpoints.
+
+    Each panel (between consecutive nodes) has ``width``.
+    """
+    n = len(out)
     panels = out[1:]
-    np.multiply(f[1::2], 4.0, out=panels)
-    panels += f[0:-1:2]
-    panels += f[2::2]
+    np.multiply(f[n:], 4.0, out=panels)
+    panels += f[: n - 1]
+    panels += f[1:n]
     panels *= width / 6.0
     out[0] = 0.0
     # np.cumsum's additions in its order, bit for bit, but a whole row per add:
@@ -295,24 +284,25 @@ def _cumulative_simpson(f: np.ndarray, width, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _propagate(speed: tuple, rows, init: AlphaState, width, buffer) -> tuple:
-    """Exact wave-equation solution (alpha1, alpha2) at even ``rows``, in ``buffer`` arrays.
+def _propagate(speed: tuple, v0_t, init: AlphaState, width, buffer) -> tuple:
+    """Exact wave-equation solution (alpha1, alpha2) at the nodes, in ``buffer`` arrays.
 
-    ``speed`` is (v, v', kappa, v^2) on a grid whose ``rows`` run along axis 0 as
-    chained (lo, mid, hi) Simpson panels of signed ``width``, the first at
-    t0.  As v solves y'' = (v''/v) y and v (2 v kappa' + 4 v' kappa) =
-    2 (v^2 kappa)', the first integrals
+    ``speed`` is (v, kappa, v^2) with rows along axis 0: the n + 1 nodes,
+    the first at t0, then the midpoints of the n Simpson panels of signed
+    ``width`` between them; ``v0_t`` is v' at t0, the one rate read.  As v
+    solves y'' = (v''/v) y and v (2 v kappa' + 4 v' kappa) = 2 (v^2 kappa)',
+    the first integrals
     C1 = v alpha1' - v' alpha1 - 2 v^2 kappa and C2 = v alpha2' - v' alpha2
     give, with both integrals by composite Simpson (O(h^4), as RK4 is),
         alpha1 = v (alpha1_0/v0 + int 2 kappa dt + C1 int v^-2 dt)
         alpha2 = v (alpha2_0/v0 + C2 int v^-2 dt).
     ``buffer(name, shape)`` supplies the arrays (see ``_RowGrid.buffer``).
     """
-    v, v_t, kappa, v_sq = (x[rows] for x in speed)
-    v0, v0_t = v[0], v_t[0]
+    v, kappa, v_sq = speed
+    v = v[: (len(v) + 1) // 2]
+    v0 = v[0]
     c1 = v0 * init.alpha1_t - v0_t * init.alpha1 - 2.0 * v0 * v0 * kappa[0]
     c2 = v0 * init.alpha2_t - v0_t * init.alpha2
-    v = v[::2]
     # Simpson over 2 kappa with width w equals Simpson over kappa with width 2 w, bit for bit
     alpha1 = _cumulative_simpson(kappa, 2.0 * width, buffer("alpha1", v.shape))
     inverse = np.divide(1.0, v_sq, out=buffer("inverse_v_sq", v_sq.shape))
@@ -334,7 +324,7 @@ def aligned_initial_state(c: CoefficientTensor, cfg: RingConfig):
     column where a row of the trial grid has a zero speed) carry NaN.
     """
     _, _, tangent, stationary = _trial_grid(cfg).evaluate(c.c[None], cfg)
-    init, feasible = _aligned_start(tangent, stationary, cfg, rows=[0, 2, 1])
+    init, feasible = _aligned_start(tangent, stationary, cfg)
     rates = (init.alpha1, init.alpha2, init.alpha1_t, init.alpha2_t)
     return AlphaState(init.t, *(x[0] for x in rates)), feasible[0]
 
@@ -375,15 +365,17 @@ def initial_corr_rate(c: CoefficientTensor, cfg: RingConfig) -> np.ndarray:
     """
     t0, h = cfg.t0, cfg.fd_step
     targets = np.array([t0 + h / 2.0, t0 - h / 2.0, t0 + h, t0 - h])
-    # rows 0-2: the alignment stencil; then (t0, midpoint, target) per target
-    steps = [_rk4_abscissae(t0, t, 1) for t in targets]
-    times = np.concatenate([_rate_stencil(cfg), *steps])
-    grid = _RowGrid.build(times, np.arange(len(times)), cfg)
-    speed, _, tangent, stationary = grid.evaluate(c.c[None], cfg)
-    init, feasible = _aligned_start(tangent, stationary, cfg, rows=slice(0, 3))
-    panels = 3 + np.arange(3 * len(targets)).reshape(-1, 3).T  # (panel row, target)
-    alpha1, alpha2 = _propagate(speed, panels, init, (targets - t0)[:, None, None], grid.buffer)
-    ends = [x[panels[-1]] for x in tangent]
+    # rows 0-1: the outer alignment stencil; then (start, end, midpoint) by target, each
+    # panel's start at t0 with v'
+    panels = np.array([_rk4_abscissae(t0, t, 1) for t in targets]).T[[0, 2, 1]]
+    times = np.concatenate([_rate_stencil(cfg)[::2], panels.ravel()])
+    n = len(targets)
+    grid = _RowGrid.build(times, 2 + 2 * n, 2 + np.arange(n), cfg)
+    (v, v_t, kappa, v_sq), _, tangent, stationary = grid.evaluate(c.c[None], cfg)
+    init, feasible = _aligned_start(tangent, stationary, cfg)
+    speed = tuple(x[2:].reshape((3, n) + x.shape[1:]) for x in (v, kappa, v_sq))
+    alpha1, alpha2 = _propagate(speed, v_t, init, (targets - t0)[:, None, None], grid.buffer)
+    ends = [x[2 + n :] for x in tangent]
     plus_half, minus_half, plus, minus = _correlation(alpha1[-1], alpha2[-1], ends, grid.buffer)
 
     rate = (4.0 * (plus_half - minus_half) / h - (plus - minus) / (2.0 * h)) / 3.0
@@ -399,10 +391,10 @@ def _axis_fields(c: np.ndarray, cfg: RingConfig) -> AxisField:
     trial grid's buffers for a stack of B.
     """
     grid = _trial_grid(cfg)
-    speed, frame, tangent, stationary = grid.evaluate(c, cfg)
-    init, feasible = _aligned_start(tangent, stationary, cfg, rows=[0, 2, 1])
+    (v, v_t, kappa, v_sq), frame, tangent, stationary = grid.evaluate(c, cfg)
+    init, feasible = _aligned_start(tangent, stationary, cfg)
     width = (cfg.t1 - cfg.t0) / cfg.n_time
-    alpha1, alpha2 = _propagate(speed, slice(2, None), init, width, grid.buffer)
+    alpha1, alpha2 = _propagate((v[2:], kappa[2:], v_sq[2:]), v_t[0], init, width, grid.buffer)
     tangent = tuple(x[2:] for x in tangent)
     corr = _correlation(alpha1, alpha2, tangent, grid.buffer)
     # NaN on infeasible columns, whose alpha1 and alpha2 are NaN
@@ -423,11 +415,11 @@ def axis_field(c: CoefficientTensor, cfg: RingConfig) -> AxisField:
     """Solve alignment, solve the wave system in closed form, correlate the axes.
 
     Two matrix products of the coefficients with the cached
-    :func:`_trial_grid` cover every row.  Each row gets v, v' and kappa,
-    from the first two time derivatives of Phi; only the stencil rows and
-    the time nodes get the frame and the unit ring tangent.  Per-column
+    :func:`_trial_grid` cover every row.  Each row gets v and kappa, from
+    the first two time derivatives of Phi; only the stencil rows and the
+    time nodes get the frame and the unit ring tangent, and only t0 gets v'.  Per-column
     infeasibility (no initial alignment at t0 or at a rate stencil point) is
     recorded in ``feasible`` and produces NaN correlations, not an error; a
     zero speed on any row makes every column infeasible.
     """
-    return _axis_fields(c.c[None], cfg).trial(0).copy()
+    return _axis_fields(c.c[None], cfg).trial(0)

@@ -6,6 +6,7 @@ from vortexlab.geometry import (
     ZeroSpeed,
     _meridional_frame,
     _speed_curvature,
+    _speed_rate,
     frame_from_derivatives,
 )
 from vortexlab.ring_model import embed
@@ -227,7 +228,8 @@ def test_meridional_kernel_matches_generic_frame():
     d1, d2, d3 = (a[k][:, None] * e_r + b[k][:, None] * np.array([0.0, 0.0, 1.0]) for k in range(3))
 
     oracle = frame_from_derivatives(d1, d2, d3)
-    v, v_t, w, kappa, stationary = _speed_curvature(a[0], a[1], b[0], b[1])
+    v, w, kappa, stationary = _speed_curvature(a[0], a[1], b[0], b[1])
+    v_t = _speed_rate(a[0], a[1], b[0], b[1], v)
     assert not stationary.any()
     np.testing.assert_array_equal(kappa < DEFAULT_EPS_KAPPA, oracle.degenerate)
     np.testing.assert_array_equal(oracle.degenerate, np.arange(n) >= 100)

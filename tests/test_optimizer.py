@@ -14,6 +14,7 @@ import vortexlab.optimizer as optimizer
 import vortexlab.ring_model as ring_model
 import vortexlab.wave_dynamics as wave_dynamics
 from vortexlab.cli import load_configs
+from vortexlab.madc import madc
 from vortexlab.optimizer import (
     CorruptTrialLog,
     DimensionTooLarge,
@@ -857,9 +858,12 @@ def test_evaluate_stack_equals_one_trial_at_a_time(ring):
         # a stationary point on a row closes every column, as aligning nowhere does
         for tensor in (dip, stop, closed):
             assert not axis_field(tensor, ring).feasible.any()
-        want = [evaluate_tensor(tensor, ring) for tensor in tensors]
+        # the oracle is the full report of each tensor's own field, not the scoring path
+        reports = [madc(axis_field(tensor, ring), ring) for tensor in tensors]
+        want = [(report.score, report.madc, report.feasible_fraction) for report in reports]
         assert want[1] == want[3] == want[5] == (0.0, 0.0, 0.0)
         assert all(result[0] > 0.0 for i, result in enumerate(want) if i not in (1, 3, 5))
+        assert [evaluate_tensor(tensor, ring) for tensor in tensors] == want
         # a size's buffers hold the same results after stacks of other sizes used theirs
         for size in (8, 1, 3, 8):
             got = [r for i in range(0, 8, size) for r in evaluate_stack(tensors[i : i + size], ring)]

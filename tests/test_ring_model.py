@@ -160,26 +160,29 @@ def test_kinematics_baseline_straight_rays():
 
 
 def test_trial_grid_matches_generic_frame(desk_cfg):
-    # the trial path's meridional kernels against the generic Cartesian
-    # routine at the grid's own rows: the rate-stencil times, then the RK4 abscissae
+    # the trial path's meridional kernels against the generic Cartesian routine
+    # at the grid's own rows: the outer rate-stencil times, then the RK4 nodes,
+    # then the RK4 midpoints
     c = random_tensor(np.random.default_rng(15), desk_cfg, scale=5.0)
-    times = np.concatenate(
-        [_rate_stencil(desk_cfg)[::2], _rk4_abscissae(desk_cfg.t0, desk_cfg.t1, desk_cfg.n_time)]
-    )
+    rk4 = _rk4_abscissae(desk_cfg.t0, desk_cfg.t1, desk_cfg.n_time)
+    times = np.concatenate([_rate_stencil(desk_cfg)[::2], rk4[::2], rk4[1::2]])
     grid = _trial_grid(desk_cfg)
-    speed, frame, tangent, zero = grid.evaluate(c.c[None], desk_cfg)
+    (v, v_t, kappa, _), frame, tangent, zero = grid.evaluate(c.c[None], desk_cfg)
     assert zero.tolist() == [False]
+    assert times[grid.rate_rows].tolist() == [desk_cfg.t0]
     # the one trial of the stack
-    speed, frame, tangent = [x[:, 0] for x in speed], frame[:, 0], [x[:, 0] for x in tangent]
+    v, v_t, kappa = (x[:, 0] for x in (v, v_t, kappa))
+    frame, tangent = frame[:, 0], [x[:, 0] for x in tangent]
     p = phi_eval(times, desk_cfg.s_grid, c, desk_cfg)
     oracle = frame_from_derivatives(p.d1, p.d2, p.d3, desk_cfg.eps_kappa, desk_cfg.eps_v)
-    np.testing.assert_array_equal(speed[2] < desk_cfg.eps_kappa, oracle.degenerate)
-    for got, name in zip(speed, ("v", "v_t", "kappa")):
-        want = getattr(oracle, name)
+    np.testing.assert_array_equal(kappa < desk_cfg.eps_kappa, oracle.degenerate)
+    for got, want in ((v, oracle.v), (v_t, oracle.v_t[grid.rate_rows]), (kappa, oracle.kappa)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.max(np.abs(want)))
-    # the frame and the unit ring tangent on the tangent rows; the generic
-    # b = unit(d1 x d2) carries rounding of relative size |d1| |d2| / |d1 x d2|
-    rows = grid.tangent_rows
+    # the frame and the unit ring tangent on the tangent rows, the stencil and
+    # the nodes; the generic b = unit(d1 x d2) carries rounding of relative size
+    # |d1| |d2| / |d1 x d2|
+    rows = slice(desk_cfg.n_time + 3)
+    assert len(frame.tau_r) == len(tangent[0]) == desk_cfg.n_time + 3
     cond = np.linalg.norm(p.d1, axis=-1) * np.linalg.norm(p.d2, axis=-1) / (oracle.kappa * oracle.v**3)
     cond = np.where(oracle.degenerate, 1.0, cond)[rows]
     axes = [getattr(oracle.frame, name)[rows] for name in ("tau", "n", "b")]
