@@ -25,7 +25,6 @@ of scope here.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -39,7 +38,6 @@ __all__ = [
     "check_inverse_matrix",
     "check_dinv_expansion",
     "check_leibniz_identity",
-    "leibniz_residual_from_curve",
     "check_closure_rearrangement",
     "CheckResult",
     "run_all_checks",
@@ -159,22 +157,6 @@ def _leibniz_residual(d1_lo, d1, d1_hi, d2, h: float):
     dzz_phi = (d1_hi / norm(d1_hi) - d1_lo / norm(d1_lo)) / (2.0 * h) / v
     residual = d2 - v**2 * dzz_phi - v_t * zphi
     return (norm(residual) / norm(d2))[..., 0]
-
-
-def leibniz_residual_from_curve(
-    d1_fn: Callable[[float], np.ndarray],
-    d2_fn: Callable[[float], np.ndarray],
-    t: float,
-    h: float,
-) -> float:
-    """Relative residual of d2/dt2 = v^2 d2/dz2 + v' d/dz on a trajectory.
-
-    d/dz = (1/v) d/dt converts the closed-form time derivatives into
-    arc-length ones; the second z-derivative is taken by central difference
-    of the unit tangent, so the identity is a genuine cross-check between
-    the d1/d2 closed forms rather than an algebraic tautology.
-    """
-    return float(_leibniz_residual(d1_fn(t - h), d1_fn(t), d1_fn(t + h), d2_fn(t), h))
 
 
 def check_leibniz_identity(c: CoefficientTensor | np.ndarray, cfg: RingConfig, t, s) -> float | np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import vortexlab.cli as cli
+import vortexlab.logscan as logscan
 import vortexlab.optimizer as optimizer
 import vortexlab.verify as verify
 from vortexlab import floattext
@@ -447,8 +448,8 @@ def test_optimize_log_longer_than_the_budget_exits_4_and_keeps_it(
     before = study.read_bytes()
     capsys.readouterr()
     # the log is read by one process, or split between two
-    monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
-    monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(logscan, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
+    monkeypatch.setattr(logscan.os, "sched_getaffinity", lambda pid: {0, 1})
     assert main(args + ["--trials-qmc", "4", "--trials-refine", "0"]) == 4
     assert "trial log line 6: log longer than the study budget" in capsys.readouterr().err
     assert study.read_bytes() == before

@@ -9,7 +9,9 @@ import warnings
 import numpy as np
 import pytest
 
+import vortexlab
 import vortexlab.geometry as geometry
+import vortexlab.logscan as logscan
 import vortexlab.optimizer as optimizer
 import vortexlab.ring_model as ring_model
 import vortexlab.wave_dynamics as wave_dynamics
@@ -291,6 +293,8 @@ def test_run_study_refuses_corrupt_log(tiny_ring, tmp_path):
     with pytest.raises(CorruptTrialLog) as err:
         run_study(study, tiny_ring, log)
     assert err.value.line_no == 2
+    # the reader's class, re-exported by optimizer and the package
+    assert vortexlab.CorruptTrialLog is CorruptTrialLog is logscan.CorruptTrialLog
 
     log.write_text(lines[1] + "\n")  # trial_id 1 on line 1
     with pytest.raises(CorruptTrialLog):
@@ -373,6 +377,11 @@ def test_writer_refuses_non_finite_values():
                 rec.to_json_line()
 
 
+def test_trial_record_fields_are_the_log_fields():
+    # the writer builds each line from LOG_FIELDS, so a field missing there would be dropped silently
+    assert tuple(field.name for field in dataclasses.fields(TrialRecord)) == logscan.LOG_FIELDS
+
+
 def test_writer_bytes_pinned():
     # the stdlib's float spelling is the log format; orjson would write 0.00001 and 1e16
     rec = TrialRecord(3, "refine", 0.25, 1e-05, 1.0, [-0.0, 5e-324, 1e16, -30.0], 0.0)
@@ -391,7 +400,7 @@ def test_writer_bytes_same_for_array_and_list():
 
 def stdlib_line(rec):
     """The log line as json writes it: the reference for TrialRecord.to_json_line."""
-    fields = {name: getattr(rec, name) for name in optimizer._LOG_FIELDS}
+    fields = {name: getattr(rec, name) for name in logscan.LOG_FIELDS}
     if isinstance(rec.coeffs, np.ndarray):
         fields["coeffs"] = rec.coeffs.tolist()
     return json.dumps(fields, allow_nan=False)
@@ -533,7 +542,7 @@ ACCEPTED_COEFF_TEXT = [
 def test_parse_reads_every_accepted_coefficient_spelling_exactly(space, tmp_path):
     n = len(ACCEPTED_COEFF_TEXT)
     coeffs = ["@"] * n + [0.25] * (space.dim - n)
-    text = json.dumps(dict(zip(optimizer._LOG_FIELDS, (0, "qmc", 0.5, 1.0, 0.5, coeffs, 0.0)))).encode()
+    text = json.dumps(dict(zip(logscan.LOG_FIELDS, (0, "qmc", 0.5, 1.0, 0.5, coeffs, 0.0)))).encode()
     for spelling in ACCEPTED_COEFF_TEXT:
         text = text.replace(b'"@"', spelling, 1)
     log = tmp_path / "log.jsonl"
@@ -572,7 +581,7 @@ class SplitReader:
     def __init__(self, monkeypatch):
         self.monkeypatch = monkeypatch
         self.children, self.tails = [], []
-        popen, tail_result = subprocess.Popen, optimizer._tail_result
+        popen, tail_result = subprocess.Popen, logscan._tail_result
 
         def spawn(*args, **kwargs):
             self.children.append(popen(*args, **kwargs))
@@ -582,24 +591,24 @@ class SplitReader:
             self.tails.append(tail_result(child, dim))
             return self.tails[-1]
 
-        monkeypatch.setattr(optimizer.os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(logscan.os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(subprocess, "Popen", spawn)
-        monkeypatch.setattr(optimizer, "_tail_result", tail)
+        monkeypatch.setattr(logscan, "_tail_result", tail)
 
     def parse(self, log, space, at_line=None):
         """The split parse; with ``at_line``, the child's lines start at that (1-based) line."""
-        self.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0)
+        self.monkeypatch.setattr(logscan, "_SPLIT_MIN_BYTES", 0)
         if at_line is not None:
             data = log.read_bytes()
             start = sum(len(line) for line in data.splitlines(keepends=True)[: at_line - 1])
             # the split is the first line start after this offset: the previous line's last bytes
-            self.monkeypatch.setattr(optimizer, "_SPLIT_FRACTION", (start - 1) / len(data))
+            self.monkeypatch.setattr(logscan, "_SPLIT_FRACTION", (start - 1) / len(data))
             with open(log, "rb") as fh:
-                assert optimizer._split_offset(fh) == start
+                assert logscan._split_offset(fh) == start
         return parse_outcome(log, space)
 
     def serial(self, log, space):
-        self.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 1 << 62)
+        self.monkeypatch.setattr(logscan, "_SPLIT_MIN_BYTES", 1 << 62)
         return parse_outcome(log, space)
 
     def assert_all_stopped(self):
@@ -739,6 +748,49 @@ def test_split_parse_scans_in_process_when_the_child_fails(tiny_ring, tmp_path, 
     split_reader.assert_all_stopped()
 
 
+@pytest.mark.parametrize(
+    "piped, code", [("out[:-8]", 0), ("out", 3)], ids=["short coefficient stream, exit 0", "full stream, exit 3"]
+)
+def test_split_parse_scans_in_process_when_the_child_pipes_a_bad_tail(
+    tiny_ring, tmp_path, split_reader, monkeypatch, piped, code
+):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=6, n_refine=3, seed=42), tiny_ring, log)
+    space = SearchSpace.from_ring_config(tiny_ring)
+    serial = split_reader.serial(log, space)
+    # runs the real child on its arguments, then pipes back ``piped`` of its output and exits ``code``
+    wrapped = tmp_path / "wrapped-python"
+    wrapped.write_text(
+        f"#!{sys.executable}\n"
+        "import subprocess, sys\n"
+        f"out = subprocess.run([{sys.executable!r}, *sys.argv[1:]], stdout=subprocess.PIPE, check=True).stdout\n"
+        f"sys.stdout.buffer.write({piped})\n"
+        f"sys.exit({code})\n"
+    )
+    wrapped.chmod(0o755)
+    monkeypatch.setattr(sys, "executable", str(wrapped))
+    assert_same_outcome(split_reader.parse(log, space, at_line=5), serial)
+    assert split_reader.tails == [None]
+    split_reader.assert_all_stopped()
+
+
+def test_tail_scan_child_imports_neither_numpy_nor_the_package(tiny_ring, tmp_path):
+    log = tmp_path / "log.jsonl"
+    run_study(StudyConfig(n_qmc=3, n_refine=0, seed=2), tiny_ring, log)
+    dim = SearchSpace.from_ring_config(tiny_ring).dim
+    done = subprocess.run(
+        [sys.executable, "-I", "-S", "-X", "importtime", logscan.__file__, logscan._ORJSON_PARENT, str(log), "0", str(dim)],
+        capture_output=True,
+        check=True,
+    )
+    # "import time: self | cumulative | <indent>module" per import
+    imported = [line.rsplit("|", 1)[1].strip() for line in done.stderr.decode().splitlines() if "|" in line]
+    assert "orjson" in imported
+    assert [name for name in imported if name.split(".")[0] in ("numpy", "vortexlab")] == []
+    header = json.loads(done.stdout.split(b"\n", 1)[0])
+    assert [head[0] for head in header["heads"]] == [0, 1, 2] and header["refusal"] is None
+
+
 @pytest.mark.parametrize("bad_line", [10, 30])
 def test_split_parse_stops_its_child_after_a_refusal(tmp_path, split_reader, bad_line):
     log = tmp_path / "log.jsonl"
@@ -772,7 +824,7 @@ def test_log_longer_than_the_budget_is_refused_and_kept(tiny_ring, tmp_path, spl
     if torn:
         log.write_bytes(log.read_bytes() + b'{"trial_id": 6, "pha')
     before = log.read_bytes()
-    split_reader.monkeypatch.setattr(optimizer, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
+    split_reader.monkeypatch.setattr(logscan, "_SPLIT_MIN_BYTES", 0 if split else 1 << 62)
     with pytest.raises(CorruptTrialLog) as err:
         run_study(StudyConfig(n_qmc=4, n_refine=1, seed=2), tiny_ring, log)
     assert err.value.line_no == 6 and str(err.value) == "trial log line 6: log longer than the study budget"
