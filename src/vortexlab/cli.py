@@ -295,7 +295,7 @@ def cmd_optimize(args) -> int:
     result = run_study(study, ring, log_path)
 
     out_dir = log_path.parent
-    best = CoefficientTensor.from_flat(np.array(result.best.coeffs), ring.J, ring.K)
+    best = CoefficientTensor.from_flat(result.best.coeffs, ring.J, ring.K)
     best.save(out_dir / "best_coeffs.json")
     (out_dir / "study_summary.json").write_text(
         json.dumps(result.summary(study), indent=2) + "\n"

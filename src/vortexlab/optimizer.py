@@ -23,13 +23,15 @@ read without importing scipy.  The module imports no scipy: only the
 ceiling's LP imports ``linprog``, on its first solve, so every command but
 a ``structured`` study starts without scipy.
 
-QMC trials are evaluated in stacks of ``QMC_STACK`` through one stacked
-kernel (:func:`evaluate_stack`), refine trials one at a time
-(:func:`evaluate_tensor`, a stack of one); both give the same score for a
-tensor, bit for bit.  Every trial is appended to a JSON-lines log in trial
-order, so a killed study resumes from the log and reproduces the exact trial
-stream it would have run uninterrupted: a study's log is byte-identical
-across runs and across kill/resume.
+QMC trials are drawn and evaluated in stacks of ``QMC_STACK``: one
+read-only (B, dim) coefficient block per stack goes through one stacked
+kernel (:func:`evaluate_stack`), and each trial's record holds its row of
+that block.  Refine trials run one at a time (:func:`evaluate_tensor`, a
+stack of one); both give the same score for a tensor, bit for bit.  Every
+trial is appended to a JSON-lines log in trial order, so a killed study
+resumes from the log and reproduces the exact trial stream it would have
+run uninterrupted: a study's log is byte-identical across runs and across
+kill/resume.
 """
 
 from __future__ import annotations
@@ -129,9 +131,6 @@ class SearchSpace:
     def dim(self) -> int:
         return 4 * (self.J + 1) * (self.K + 1)
 
-    def unflatten(self, flat: np.ndarray) -> CoefficientTensor:
-        return CoefficientTensor.from_flat(flat, self.J, self.K)
-
     def clip(self, flat: np.ndarray) -> np.ndarray:
         return np.clip(flat, -self.c_max, self.c_max)
 
@@ -176,8 +175,9 @@ class TrialRecord:
     ``score`` is madc * feasible_fraction; a trial with no feasible column
     (it aligns nowhere, or a point of its grid is stationary) carries
     score = madc = feasible_fraction = 0.  ``coeffs`` is a read-only
-    float64 array of length dim, the flattened tensor: 8 bytes a
-    coefficient, against ~32 in a list of Python floats.  ``elapsed`` is written as 0.0, so logs are
+    float64 array of length dim, the flattened tensor (a study's record
+    holds its row of the stack's block): 8 bytes a coefficient, against
+    ~32 in a list of Python floats.  ``elapsed`` is written as 0.0, so logs are
     byte-reproducible; the reader accepts any number there, as older logs
     carry wall seconds.
     """
@@ -318,8 +318,8 @@ def _sobol_stream(space: SearchSpace, seed: int, n_points: int) -> tuple:
     return shift, np.ascontiguousarray(directions.T)
 
 
-def _draw_qmc(stream: tuple, space: SearchSpace, start: int, n: int) -> list:
-    """Points start .. start + n - 1 of the stream as coefficient tensors scaled to the search box.
+def _draw_qmc(stream: tuple, space: SearchSpace, start: int, n: int) -> np.ndarray:
+    """Points start .. start + n - 1 of the stream in the search box: a read-only float64 (n, dim) block.
 
     Point i is shift ^ (the directions that the bits of gray(i) = i ^ (i >> 1)
     select) times 2**-30.  Each direction is XORed in place where its bit is
@@ -337,7 +337,8 @@ def _draw_qmc(stream: tuple, space: SearchSpace, start: int, n: int) -> list:
     del bits
     flats -= 1.0
     flats *= space.c_max
-    return [space.unflatten(flat) for flat in flats]
+    flats.flags.writeable = False
+    return flats
 
 
 def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
@@ -357,9 +358,9 @@ def sample_qmc(space: SearchSpace, n: int, seed: int, skip: int = 0) -> list:
             raise ValueError(f"{name} must be >= 0, got {value}")
     stream = _sobol_stream(space, seed, skip + n)
     return [
-        tensor
+        CoefficientTensor.from_flat(flat, space.J, space.K)
         for start in range(skip, skip + n, QMC_STACK)
-        for tensor in _draw_qmc(stream, space, start, min(QMC_STACK, skip + n - start))
+        for flat in _draw_qmc(stream, space, start, min(QMC_STACK, skip + n - start))
     ]
 
 
@@ -387,11 +388,11 @@ def _refine_state(history: list, c_max: float) -> tuple:
     return float(np.clip(sigma, 1e-6 * c_max, c_max)), best_feasible, best_refine
 
 
-def _with_row(flat: np.ndarray, row, space: SearchSpace) -> np.ndarray:
-    """Copy of a flattened tensor with its j=0 gamma1 row c[0, :, 0, :] set to ``row``."""
-    c = np.array(flat, dtype=float).reshape(2, 2, space.J + 1, space.K + 1)
+def _with_row(flat: np.ndarray, row, ring: RingConfig) -> CoefficientTensor:
+    """The tensor of a flattened coefficient vector with its j=0 gamma1 row c[0, :, 0, :] set to ``row``."""
+    c = np.array(flat, dtype=float).reshape(2, 2, ring.J + 1, ring.K + 1)
     c[0, :, 0, :] = row
-    return c.reshape(-1)
+    return CoefficientTensor(c)
 
 
 @dataclass(frozen=True)
@@ -419,9 +420,8 @@ def row_feasibility(row, ring: RingConfig) -> np.ndarray:
     This is the trial path's own mask (:func:`aligned_initial_state`), so a
     zero-speed point reads as no column feasible.
     """
-    space = SearchSpace.from_ring_config(ring)
-    tensor = space.unflatten(_with_row(np.zeros(space.dim), row, space))
-    return aligned_initial_state(tensor, ring)[1]
+    zeros = np.zeros(SearchSpace.from_ring_config(ring).dim)
+    return aligned_initial_state(_with_row(zeros, row, ring), ring)[1]
 
 
 def _contiguous_runs(indices: np.ndarray) -> list:
@@ -543,11 +543,11 @@ def propose_refinements(history: list, study: StudyConfig, ring: RingConfig) -> 
     else:
         row = feasibility_ceiling(ring).row
         if best_refine is None:
-            return space.unflatten(_with_row(np.zeros(space.dim), row, space))
+            return _with_row(np.zeros(space.dim), row, ring)
         center = best_refine.coeffs
     rng = np.random.default_rng(np.random.SeedSequence((study.seed, len(history))))
     flat = space.clip(np.asarray(center, dtype=float) + sigma * rng.standard_normal(space.dim))
-    return space.unflatten(flat if row is None else _with_row(flat, row, space))
+    return CoefficientTensor.from_flat(flat, ring.J, ring.K) if row is None else _with_row(flat, row, ring)
 
 
 def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
@@ -556,19 +556,21 @@ def evaluate_tensor(tensor: CoefficientTensor, ring: RingConfig) -> tuple:
     A zero-speed trajectory anywhere on the evaluation grid leaves no column
     feasible, so the trial reads (0.0, 0.0, 0.0).
     """
-    return evaluate_stack([tensor], ring)[0]
+    return evaluate_stack(tensor.c.reshape(1, -1), ring)[0]
 
 
-def evaluate_stack(tensors: list, ring: RingConfig) -> list:
-    """(score, madc, feasible_fraction) of each tensor, in one evaluation of the stack.
+def evaluate_stack(coeffs: np.ndarray, ring: RingConfig) -> list:
+    """(score, madc, feasible_fraction) of each row of a (B, dim) coefficient block, in one evaluation.
 
-    The scores equal :func:`madc`'s report on each tensor's
+    Each row is a flattened tensor (:meth:`CoefficientTensor.flatten`'s
+    order, the log's), and the kernel reads the block through a reshaped
+    view.  The scores equal :func:`madc`'s report on each tensor's
     :func:`axis_field` bit for bit: the stacked kernel sums each trial's terms
     in the same order whatever the stack, and the report's value is
     :func:`stack_madc`'s.  A stationary point closes the columns of its own
     trial only, which reads (0.0, 0.0, 0.0).
     """
-    field = _axis_fields(np.stack([tensor.c for tensor in tensors]), ring)
+    field = _axis_fields(coeffs.reshape(len(coeffs), 2, 2, ring.J + 1, ring.K + 1), ring)
     return [(value * share, value, share) for value, share, _ in stack_madc(field.corr, field.feasible)]
 
 
@@ -608,7 +610,9 @@ def run_study(
     log stays resumable); the default runs n_qmc + n_refine.  A limit below
     1 raises ValueError before the log is opened.  QMC trials
     run in stacks of ``QMC_STACK``, refine trials one at a time, each
-    proposed from the history committed before it.  Records are committed
+    proposed from the history committed before it; a record's coeffs is its
+    row of the stack's read-only block (for a refine trial, a view of the
+    proposal's array), so no coefficient is copied.  Records are committed
     strictly in trial order, one flushed line per trial with ``elapsed``
     0.0.  On resume an unterminated final line (a record cut by a kill) is
     truncated away and its trial runs again.
@@ -639,26 +643,16 @@ def run_study(
             if start_id < study.n_qmc:
                 phase = "qmc"
                 stop = min(start_id + QMC_STACK, study.n_qmc, n_total)
-                tensors = _draw_qmc(sobol, space, start_id, stop - start_id)
-                results = evaluate_stack(tensors, ring)
+                block = _draw_qmc(sobol, space, start_id, stop - start_id)
+                results = evaluate_stack(block, ring)
             else:
                 phase = "refine"
-                tensors = [propose_refinements(history, study, ring)]
-                results = [evaluate_tensor(tensors[0], ring)]
-            for trial_id, (tensor, (score, value, fraction)) in enumerate(
-                zip(tensors, results), start=start_id
-            ):
-                coeffs = tensor.flatten()  # a fresh copy
-                coeffs.flags.writeable = False
-                rec = TrialRecord(
-                    trial_id=trial_id,
-                    phase=phase,
-                    score=score,
-                    madc=value,
-                    feasible_fraction=fraction,
-                    coeffs=coeffs,
-                    elapsed=0.0,
-                )
+                tensor = propose_refinements(history, study, ring)
+                block = tensor.c.reshape(1, -1)
+                results = [evaluate_tensor(tensor, ring)]
+            for trial_id, (coeffs, result) in enumerate(zip(block, results), start=start_id):
+                # result is (score, madc, feasible_fraction), the record's field order
+                rec = TrialRecord(trial_id, phase, *result, coeffs, 0.0)
                 log.write(rec.to_json_line() + "\n")
                 log.flush()
                 history.append(rec)

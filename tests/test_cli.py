@@ -386,6 +386,14 @@ def test_optimize_writes_outputs_and_is_deterministic(tmp_path, desk_config_path
     assert summary["seed"] == 7
     captured = capsys.readouterr().out
     assert "best trial" in captured
+    # simulate scores best_coeffs.json as the study scored its best trial, bit for bit: a
+    # record whose coefficients are not the row that was scored reads another score here
+    sim = tmp_path / "sim"
+    coeffs = out_a.parent / "best_coeffs.json"
+    code = main(["simulate", "--config", str(desk_config_path), "--coeffs", str(coeffs), "--out", str(sim)])
+    assert code == 0
+    assert summary["best_score"] > 0.0
+    assert json.loads((sim / "madc_report.json").read_text())["score"] == summary["best_score"]
 
 
 def test_manifest_digest_streams_the_file(tmp_path):

@@ -127,7 +127,7 @@ def test_sample_qmc_holds_each_point_once():
     block = optimizer._draw_qmc(optimizer._sobol_stream(space, 0, n), space, 0, n)
     assert len(points) == len(block) == n
     for got, want in zip(points, block):
-        assert np.array_equal(got.c, want.c)
+        assert np.array_equal(got.flatten(), want)
 
 
 def test_qmc_beyond_the_sobol_stream_is_refused(space):
@@ -141,13 +141,6 @@ def test_qmc_beyond_the_sobol_stream_is_refused(space):
     StudyConfig(n_qmc=2**30, n_refine=0)
     with pytest.raises(ValueError, match="n_qmc"):
         StudyConfig(n_qmc=2**30 + 1, n_refine=0)
-
-
-def test_search_space_roundtrip(space):
-    rng = np.random.default_rng(15)
-    flat = rng.uniform(-30, 30, space.dim)
-    tensor = space.unflatten(flat)
-    np.testing.assert_array_equal(tensor.flatten(), flat)
 
 
 def padded(history, n, dim):
@@ -916,9 +909,10 @@ def test_evaluate_stack_equals_one_trial_at_a_time(ring):
         assert want[1] == want[3] == want[5] == (0.0, 0.0, 0.0)
         assert all(result[0] > 0.0 for i, result in enumerate(want) if i not in (1, 3, 5))
         assert [evaluate_tensor(tensor, ring) for tensor in tensors] == want
+        block = np.stack([tensor.flatten() for tensor in tensors])
         # a size's buffers hold the same results after stacks of other sizes used theirs
         for size in (8, 1, 3, 8):
-            got = [r for i in range(0, 8, size) for r in evaluate_stack(tensors[i : i + size], ring)]
+            got = [r for i in range(0, 8, size) for r in evaluate_stack(block[i : i + size], ring)]
             assert got == want, size
             assert all(type(x) is float for result in got for x in result)
     np.testing.assert_equal((dataclasses.astuple(field), dataclasses.astuple(init), feasible), kept)
@@ -929,11 +923,12 @@ def test_stacked_kernel_reuses_its_buffers():
     resource = pytest.importorskip("resource")
     ring = RingConfig()
     tensors = sample_qmc(SearchSpace.from_ring_config(ring), optimizer.QMC_STACK, seed=0)
+    block = np.stack([tensor.flatten() for tensor in tensors])
     for _ in range(3):
-        evaluate_stack(tensors, ring)
+        evaluate_stack(block, ring)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(20):
-        evaluate_stack(tensors, ring)
+        evaluate_stack(block, ring)
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
     # arrays of a full-scale stack that are new on every call are handed back to the OS and
     # faulted in again: ~2,900 faults per call
@@ -975,20 +970,21 @@ def test_sobol_sampler_matches_scipy_scramble_bit_for_bit(d):
     # power of two; the largest dimension runs at one seed and skip (~1.5 s)
     from scipy.stats import qmc
 
-    space = types.SimpleNamespace(dim=d, c_max=1.0, unflatten=lambda flat: flat)
+    space = types.SimpleNamespace(dim=d, c_max=1.0)
     seeds, skips = ((7,), (1023,)) if d == 21201 else ((0, 3, 99), (0, 1, 7, 8, 13, 1023, 1024))
     for seed in seeds:
         for skip in skips:
             stream = optimizer._sobol_stream(space, seed, skip + 7)
-            got = optimizer._draw_qmc(stream, space, skip, 3)
-            got += optimizer._draw_qmc(stream, space, skip + 3, 4)
+            got = np.vstack(
+                [optimizer._draw_qmc(stream, space, skip, 3), optimizer._draw_qmc(stream, space, skip + 3, 4)]
+            )
             ref = qmc.Sobol(d, scramble=True, seed=seed)
             if skip:
                 ref.fast_forward(skip)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 want = 2.0 * np.vstack([ref.random(3), ref.random(4)]) - 1.0
-            np.testing.assert_array_equal(np.array(got), want, err_msg=f"seed {seed}, skip {skip}")
+            np.testing.assert_array_equal(got, want, err_msg=f"seed {seed}, skip {skip}")
 
 
 @pytest.mark.parametrize("d", [1, 2, 140, 924])
@@ -1035,6 +1031,50 @@ def test_run_study_builds_one_sobol_sampler_per_call(monkeypatch, tiny_ring, tmp
     monkeypatch.setattr(optimizer, "_sobol_stream", counting_stream)
     run_study(dataclasses.replace(study, n_refine=2), tiny_ring, tmp_path / "part.jsonl")
     assert len(built) == 3
+
+
+def test_qmc_phase_builds_no_tensor(monkeypatch, tmp_path):
+    # the QMC phase carries each stack as one coefficient block, from the draw to the log
+    built = []
+    init = CoefficientTensor.__init__
+
+    def counting_init(self, c):
+        built.append(c)
+        init(self, c)
+
+    monkeypatch.setattr(CoefficientTensor, "__init__", counting_init)
+    result = run_study(StudyConfig(n_qmc=20, n_refine=0), DESK, tmp_path / "trials.jsonl")
+    assert len(result.history) == 20 and built == []
+    # the counter sees the tensors that sample_qmc builds
+    sample_qmc(SearchSpace.from_ring_config(DESK), 2, seed=0)
+    assert len(built) == 2
+
+
+def test_records_hold_rows_of_their_stack(monkeypatch, tmp_path):
+    proposals = {}
+    propose = optimizer.propose_refinements
+
+    def recording_propose(history, study, ring):
+        proposals[len(history)] = tensor = propose(history, study, ring)
+        return tensor
+
+    monkeypatch.setattr(optimizer, "propose_refinements", recording_propose)
+    study = StudyConfig(n_qmc=20, n_refine=3, seed=2)
+    history = run_study(study, DESK, tmp_path / "trials.jsonl").history
+    points = sample_qmc(SearchSpace.from_ring_config(DESK), study.n_qmc, study.seed)
+    for rec in history[: study.n_qmc]:
+        coeffs = rec.coeffs
+        assert coeffs.dtype == np.float64 and coeffs.ndim == 1
+        assert coeffs.flags.c_contiguous and not coeffs.flags.writeable
+        np.testing.assert_array_equal(coeffs, points[rec.trial_id].flatten(), strict=True)
+        # a view of its stack's block, as the stack's first record is: no copy per trial
+        first = history[rec.trial_id - rec.trial_id % optimizer.QMC_STACK].coeffs
+        assert coeffs.base is not None and coeffs.base is first.base
+    assert sorted(proposals) == [20, 21, 22]
+    for rec in history[study.n_qmc :]:
+        proposal = proposals[rec.trial_id].c
+        np.testing.assert_array_equal(rec.coeffs, proposal.ravel(), strict=True)
+        assert np.shares_memory(rec.coeffs, proposal) and not rec.coeffs.flags.writeable
 
 
 def test_resume_drops_torn_final_record_at_every_offset(tiny_ring, tmp_path):

@@ -8,12 +8,16 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from vortexlab.geometry import ZeroSpeed, frame_from_derivatives
+from vortexlab.madc import madc
+from vortexlab.optimizer import SearchSpace, sample_qmc
 from vortexlab.ring_model import (
     CoefficientTensor,
     RingConfig,
     embed,
     kinematics_at,
     phi_eval,
+    radius_profile,
+    radius_profile_deriv,
     transport_gamma,
 )
 from vortexlab.wave_dynamics import (
@@ -386,3 +390,45 @@ def test_axis_correlation_matches_independent_wave_integration():
             np.linalg.norm(zeta, axis=-1) * np.linalg.norm(zs, axis=-1)
         )
         np.testing.assert_allclose(field.corr[i, cols], corr, rtol=0, atol=1e-6)
+
+
+# The feasible set's closed form at t0.  Every deformation term carries
+# (t - t0)^(j+1), so at t0 the ring is the undeformed ellipse at radius
+# R + Gamma(t0), dPhi/ds = R_s e_r + 2 pi (R + Gamma) e_theta, and the ring
+# tangent's component along the trajectory tangent is
+# a = (v_r / v) R_s / |dPhi/ds|: the ellipse's slope and the sign of v_r decide it.
+DESK = RingConfig(J=4, K=6, n_s=64, n_time=32)
+
+
+@pytest.mark.parametrize("n_s", [64, 128, 256])
+def test_undeformed_ring_aligns_where_the_ellipse_widens(n_s):
+    # v_r = Gamma'(t0) > 0, so the columns with R_s > 0, s in (1/4, 1/2) and (3/4, 1)
+    cfg = dataclasses.replace(DESK, n_s=n_s)
+    feasible = aligned_initial_state(CoefficientTensor.zeros(cfg.J, cfg.K), cfg)[1]
+    assert np.count_nonzero(feasible) == 2 * (n_s // 4 - 1)
+
+
+def test_t0_alignment_predicate_equals_the_kernel_mask():
+    cfg = DESK
+    s = cfg.s_grid
+    r_s = radius_profile_deriv(s, cfg.delta)
+    ds_norm = np.hypot(r_s, 2.0 * np.pi * (radius_profile(s, cfg.delta) + transport_gamma(cfg.t0)[0]))
+    n_feasible = 0
+    for tensor in sample_qmc(SearchSpace.from_ring_config(cfg), 256, seed=0):
+        point = phi_eval(cfg.t0, s, tensor, cfg)
+        v_r = point.radial[1]
+        a = v_r / np.hypot(v_r, point.vertical[1]) * r_s / ds_norm
+        feasible = aligned_initial_state(tensor, cfg)[1]
+        np.testing.assert_array_equal(a > cfg.eps_align, feasible)
+        n_feasible += np.count_nonzero(feasible)
+    assert n_feasible > 0
+
+
+def test_undeformed_deficit_scales_as_delta_squared():
+    # 1 - madc of the zero tensor is O(delta^2): 5.2733e-3 delta^2 at the desk grid
+    deficits = []
+    for delta in (1e-4, 1e-2):
+        cfg = dataclasses.replace(DESK, delta=delta)
+        value = madc(axis_field(CoefficientTensor.zeros(cfg.J, cfg.K), cfg), cfg).madc
+        deficits.append((1.0 - value) / delta**2)
+    assert deficits[1] == pytest.approx(deficits[0], rel=1e-3)
